@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the five standard sweep studies and drop one CSV per study.
+"""Run the seven standard sweep studies and drop one CSV per study.
 
 Deterministic for a fixed seed; rerunning overwrites byte-identical files.
 """

@@ -10,6 +10,7 @@ from .channel import (
     mw_to_dbm,
     sample_gain_matrix,
     sample_realization,
+    sample_trial_gains,
     trial_seeds,
 )
 from .experiments import (

@@ -106,16 +106,28 @@ def _exp_draws(rng, mean, n):
     return -mean * np.log1p(-u)
 
 
+def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:
+    """Sorted (N, K) gain matrix, row i drawn from its own stream keyed by seeds[i].
+
+    Row i equals `sample_realization(geometry, seeds[i]).user_gains` bit for
+    bit; only the stream set-up runs per trial.
+    """
+    seeds = np.asarray(seeds).reshape(-1)
+    u = np.empty((seeds.size, geometry.num_users))
+    for row, seed in zip(u, seeds.tolist()):
+        _generator(seed).random(out=row)
+    fading = -np.log1p(-u)  # _exp_draws' inverse CDF at unit mean
+    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
+    return np.sort(scale * fading / geometry.noise_user_mw, axis=1)
+
+
 def sample_realization(geometry: NetworkGeometry, seed: int) -> ChannelRealization:
     """Draw one Rayleigh realization for the given geometry.
 
     Identical (geometry, seed) pairs reproduce bit-identical realizations.
     """
-    rng = _generator(seed)
-    fading = _exp_draws(rng, 1.0, geometry.num_users)
-    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
-    gains = np.sort(scale * fading / geometry.noise_user_mw)
-    return ChannelRealization(tuple(float(g) for g in gains), geometry.eaves_avg_gain())
+    gains = sample_trial_gains(geometry, [seed])[0]
+    return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
 
 
 def sample_gain_matrix(geometry: NetworkGeometry, seed: int, trials: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .channel import (
@@ -19,7 +18,7 @@ from .channel import (
     sample_realization,
 )
 from .experiments import SweepSpec, run_sweep, write_results
-from .maxmin import check_positive_rate_feasibility, solve_maxmin_bisection
+from .maxmin import _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
 from .power_min import InfeasibleVerdict, solve_min_power
 from .secrecy import SecrecyRequirement, secrecy_outage_closed_form
 from .tdma import compare_maxmin
@@ -159,14 +158,7 @@ def _cmd_compare_oma(args, parser):
     channel = _channel_from_args(args, parser)
     p_mw = dbm_to_mw(args.p_dbm)
     if not check_positive_rate_feasibility(channel, args.eps):
-        phi = channel.eaves_avg_gain * math.log(1.0 / args.eps)
-        failing = [k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] <= phi]
-        if args.json:
-            print(json.dumps({"feasible": False, "failing_users": failing}))
-        else:
-            print("feasible: no")
-            print("failing users:", " ".join(str(k) for k in failing))
-        return EXIT_INFEASIBLE
+        return _print_verdict(_positive_rate_verdict(channel, args.eps), args.json)
     result = compare_maxmin(channel, args.eps, p_mw)
     payload = {
         "feasible": True,
@@ -249,7 +241,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

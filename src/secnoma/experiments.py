@@ -18,18 +18,19 @@ from .channel import (
     NetworkGeometry,
     db_to_linear,
     dbm_to_mw,
-    sample_realization,
+    sample_trial_gains,
     trial_seeds,
 )
 from .maxmin import (
     MaxMinSolution,
-    check_positive_rate_feasibility,
+    _bisect_rows,
+    _stringency,
     optimal_power_ratio_user1,
     solve_maxmin_bisection,
 )
 from .power_min import PowerMinSolution, solve_min_power
 from .secrecy import SecrecyRequirement
-from .tdma import TdmaMinPower, tdma_maxmin, tdma_min_power
+from .tdma import TdmaMinPower, _tdma_maxmin_rows, tdma_maxmin, tdma_min_power
 
 SWEEP_KINDS = ("power_vs_Q", "rate_vs_P", "beta_vs_eps", "avg_rate_vs_eps", "gain_vs_K")
 
@@ -224,20 +225,19 @@ def _run_beta_vs_eps(spec):
     return rows
 
 
-def _maxmin_rates_per_trial(channels, eps, p, tol):
-    """Zero-filled per-trial rates for the three schemes plus feasibility flags."""
-    rate_noma = np.zeros(len(channels))
-    rate_opt = np.zeros(len(channels))
-    rate_eq = np.zeros(len(channels))
-    feasible = np.zeros(len(channels), dtype=bool)
-    for i, channel in enumerate(channels):
-        if not check_positive_rate_feasibility(channel, eps):
-            continue  # infeasible realizations contribute zero rate
-        feasible[i] = True
-        sol = solve_maxmin_bisection(channel, eps, p, tol)
-        rate_noma[i] = sol.rate
-        rate_opt[i] = tdma_maxmin(channel, eps, p, "optimal_time").rate
-        rate_eq[i] = tdma_maxmin(channel, eps, p, "equal_time").rate
+def _maxmin_rates_per_trial(gains, eaves_avg_gain, eps, p, tol):
+    """Zero-filled per-trial rates for the three schemes plus feasibility flags,
+    one entry per row of the sorted (N, K) gain matrix."""
+    phi = _stringency(eaves_avg_gain, eps)
+    # infeasible realizations contribute zero rate
+    feasible = gains[:, 0] > phi
+    rate_noma = np.zeros(len(gains))
+    rate_opt = np.zeros(len(gains))
+    rate_eq = np.zeros(len(gains))
+    if feasible.any():
+        solvable = gains[feasible]
+        rate_noma[feasible] = _bisect_rows(solvable, phi, p, tol)
+        rate_opt[feasible], rate_eq[feasible] = _tdma_maxmin_rows(solvable, phi, p)
     return rate_noma, rate_opt, rate_eq, feasible
 
 
@@ -248,11 +248,13 @@ def _run_avg_rate_vs_eps(spec):
     tol = spec.fixed.get("tol", 1e-10)
     # one realization per trial, shared across axis points: the eps trend is
     # then a per-trial monotone map and the average inherits it
-    channels = [sample_realization(geometry, int(s)) for s in trial_seeds(spec.seed, spec.trials)]
+    gains = sample_trial_gains(geometry, trial_seeds(spec.seed, spec.trials))
     rows = []
     for eps in spec.axis.values():
         eps = float(eps)
-        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(channels, eps, p, tol)
+        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(
+            gains, geometry.eaves_avg_gain(), eps, p, tol
+        )
         frac = float(feasible.mean())
         for scheme, rates in (("noma", rate_noma), ("tdma_opt", rate_opt), ("tdma_eq", rate_eq)):
             mean, stderr = _mean_stderr(rates)
@@ -274,8 +276,10 @@ def _run_gain_vs_k(spec):
             raise ValueError("user-count axis must hold positive integers")
         geometry = _geometry(spec.fixed, num)
         # same per-trial seed for every K: draws nest, so adjacent K share noise
-        channels = [sample_realization(geometry, int(s)) for s in seeds]
-        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(channels, eps, p, tol)
+        gains = sample_trial_gains(geometry, seeds)
+        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(
+            gains, geometry.eaves_avg_gain(), eps, p, tol
+        )
         frac = float(feasible.mean())
         for scheme, rates in (("noma", rate_noma), ("tdma_opt", rate_opt), ("tdma_eq", rate_eq)):
             mean, stderr = _mean_stderr(rates)

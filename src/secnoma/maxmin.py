@@ -7,11 +7,14 @@ closed form, which doubles as an independent check on the bisection.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelRealization
-from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
+from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion, _recursion_rows
 from .secrecy import PowerAllocation
 
 DEFAULT_TOL = 1e-10
@@ -31,12 +34,15 @@ class MaxMinSolution:
             raise ValueError("max-min rate must be positive")
 
 
-def check_positive_rate_feasibility(channel: ChannelRealization, eps: float) -> bool:
-    """A positive common rate exists iff every gain clears the stringency."""
+def _stringency(eaves_avg_gain, eps):
     if not (0.0 < eps < 1.0):
         raise ValueError("outage bound must lie in (0, 1)")
-    phi = channel.eaves_avg_gain * math.log(1.0 / eps)
-    return channel.user_gains[0] > phi
+    return eaves_avg_gain * math.log(1.0 / eps)
+
+
+def check_positive_rate_feasibility(channel: ChannelRealization, eps: float) -> bool:
+    """A positive common rate exists iff every gain clears the stringency."""
+    return channel.user_gains[0] > _stringency(channel.eaves_avg_gain, eps)
 
 
 def _positive_rate_verdict(channel, eps):
@@ -84,6 +90,61 @@ def solve_maxmin_bisection(
     if best is None:
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
     return MaxMinSolution(best[0], PowerAllocation(tuple(best[1])), iterations)
+
+
+# Element-wise libm calls: numpy's SIMD power and log2 can round differently
+# from Python's `**` and math.log2, and the row solvers must reproduce the
+# scalar solvers bit for bit.
+def _pow2_each(q):
+    return np.fromiter(map(math.pow, itertools.repeat(2.0), q.tolist()), float, q.size)
+
+
+def _log2_each(x):
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _sum_rows(a):
+    """Row sums of an (M, K) array in Python sum()'s order, column 0 first."""
+    total = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        total += a[:, k]
+    return total
+
+
+def _bisect_rows(gains, phi, power_budget_mw, tol):
+    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix whose
+    weakest gains all clear phi, in lockstep. Returns the M certified rates,
+    equal bit for bit to the scalar solver's.
+
+    Each row keeps its own bracket and leaves the active set once the bracket
+    is narrower than tol.
+    """
+    if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
+        raise ValueError("power budget must be positive and finite")
+    if not (tol > 0):
+        raise ValueError("tolerance must be positive")
+    rate = np.full(len(gains), np.nan)
+    active = np.arange(len(gains))
+    lo = np.zeros(len(gains))
+    hi = _log2_each(1.0 + gains[:, 0] * power_budget_mw)
+    best = rate.copy()
+    while active.size:
+        live = hi - lo >= tol
+        if not live.all():
+            done = ~live
+            rate[active[done]] = best[done]
+            active, gains, lo, hi, best = active[live], gains[live], lo[live], hi[live], best[live]
+            continue
+        q = 0.5 * (lo + hi)
+        powers, ok = _recursion_rows(gains, phi, _pow2_each(q))
+        with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
+            accept = ok & (_sum_rows(powers) <= power_budget_mw)
+        lo = np.where(accept, q, lo)
+        hi = np.where(accept, hi, q)
+        best = np.where(accept, q, best)
+    if np.isnan(rate).any():
+        raise ValueError("tolerance too coarse to certify a positive rate at this budget")
+    return rate
 
 
 def _psi(g1, g2, phi, p):

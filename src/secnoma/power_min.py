@@ -82,6 +82,27 @@ def _recursion(gains, phi, rho):
     return powers, None, None
 
 
+def _recursion_rows(gains, phi, rho):
+    """`_recursion` on every row of an (M, K) gain matrix at once, with one rho
+    per row. Returns (powers, ok): powers of rows where ok is False are
+    meaningless. Same operations in the same order as the scalar version, so
+    feasible rows match it bit for bit."""
+    num = gains.shape[1]
+    powers = np.empty_like(gains)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = gains[:, num - 1] - phi * rho
+        ok = den > DENOM_TOL
+        powers[:, num - 1] = (rho - 1.0) / den
+        suffix = powers[:, num - 1].copy()
+        for k in range(num - 1, 0, -1):
+            g = gains[:, k - 1]
+            den = g * (1.0 - phi * (rho - 1.0) * suffix) - phi * rho
+            ok &= den > DENOM_TOL
+            powers[:, k - 1] = (rho - 1.0) * (1.0 + phi * suffix) * (1.0 + g * suffix) / den
+            suffix += powers[:, k - 1]
+    return powers, ok
+
+
 def solve_min_power(
     channel: ChannelRealization, req: SecrecyRequirement
 ) -> PowerMinSolution | InfeasibleVerdict:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import secnoma.cli
 from secnoma import ChannelRealization, PowerAllocation, secrecy_outage_closed_form
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
 
@@ -142,7 +143,22 @@ def test_compare_oma_infeasible():
         "--eps", EPS, "--p-dbm", "0", "--json",
     )
     assert rc == EXIT_INFEASIBLE
-    assert json.loads(out)["failing_users"] == [1]
+    payload = json.loads(out)
+    assert payload["failing_users"] == [1]
+    assert payload["reason"] == "positive_rate"
+
+
+def test_solver_self_check_failure_is_one_line_error(monkeypatch, capsys):
+    def broken(*_):
+        raise RuntimeError("superposition failed to beat optimal TDMA on unequal gains")
+
+    monkeypatch.setattr(secnoma.cli, "compare_maxmin", broken)
+    rc = secnoma.cli.main(
+        ["compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--eps", EPS, "--p-dbm", "0"]
+    )
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err == "error: superposition failed to beat optimal TDMA on unequal gains\n"
 
 
 SWEEP_CONFIG = """\

@@ -17,6 +17,7 @@ from secnoma import (
     tdma_min_power,
     tdma_user_rate,
 )
+from secnoma.maxmin import DEFAULT_TOL
 
 EPS_E1 = math.exp(-1.0)
 
@@ -117,6 +118,20 @@ def test_compare_equal_gains_ties():
     assert cmp.rate_noma == pytest.approx(0.5 * math.log2(5.5), abs=1e-12)
     assert abs(cmp.rate_noma - cmp.rate_tdma_optimal) < 1e-8
     assert cmp.ratio == pytest.approx(1.0, abs=1e-8)
+
+
+def test_compare_accepts_bisection_within_its_tolerance():
+    # K=8: the bisection stops 1.1e-11 below optimal TDMA, inside its 1e-10
+    # tolerance; at a tolerance of 1e-16 it lands above
+    channel = ChannelRealization(
+        (
+            0.23308825929443433, 0.4362915165279184, 0.5060844708519003, 0.5389669664843307,
+            0.5747782222922327, 0.5850233887311614, 0.79567796277769, 0.9976287454856604,
+        ),
+        0.24414062500000003,
+    )
+    cmp = compare_maxmin(channel, 0.3849169743746834, 10.441461965199593)
+    assert cmp.rate_noma < cmp.rate_tdma_optimal < cmp.rate_noma + DEFAULT_TOL
 
 
 def test_compare_raises_when_infeasible():
