@@ -6,6 +6,7 @@ normalization by receiver noise). dB/dBm conversion happens only at the edges.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,19 +107,122 @@ def _exp_draws(rng, mean, n):
     return -mean * np.log1p(-u)
 
 
+# numpy's SeedSequence and Philox4x64-10 (Salmon et al., "Parallel Random
+# Numbers: As Easy as 1, 2, 3", SC'11) in whole-array arithmetic, so every
+# trial's stream is keyed and drawn at once: row i of `_trial_uniforms` equals
+# `_generator(seeds[i]).random(K)` bit for bit.
+_MASK32 = 0xFFFFFFFF
+_SEED_RANGE = "fading seeds must be integers in [0, 2**64)"
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # SeedSequence INIT_B, MULT_B
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_ROUNDS = 10
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """Per-trial seeds as a flat uint64 array; anything but integers in
+    [0, 2**64) is rejected."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        flat = seeds.reshape(-1)
+        if flat.dtype.kind == "i" and flat.size and flat.min() < 0:
+            raise ValueError(_SEED_RANGE)
+        return flat.astype(np.uint64)
+    # element by element: numpy would coerce a mix of large and negative
+    # Python ints to float64 and silently round them
+    flat = np.asarray(seeds, dtype=object).reshape(-1).tolist()
+    if not all(isinstance(s, numbers.Integral) and 0 <= s < 2**64 for s in flat):
+        raise ValueError(_SEED_RANGE)
+    return np.array(flat, dtype=np.uint64)
+
+
+def _hasher(init, mult):
+    # SeedSequence's hashmix; its hash constant steps the same way whatever
+    # the data, so one closure per pass reproduces the sequence
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seeds):
+    """(2, N, 1) Philox keys: `SeedSequence(seeds[i]).generate_state(2, uint64)`."""
+    low = (seeds & _MASK32).astype(np.uint32)
+    # a seed below 2**32 is one entropy word, but the pool hashes a missing
+    # word as 0, so every seed is the pair (low, high) padded with zeros
+    entropy = (low, (seeds >> 32).astype(np.uint32), np.zeros_like(low), np.zeros_like(low))
+    hashmix = _hasher(*_POOL_HASH)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hasher(*_STATE_HASH)
+    words = [hashmix(word).astype(np.uint64) for word in pool]
+    # two uint64 words assembled little-endian from four uint32 words
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32])[:, :, None]
+
+
+def _mulhilo(a, b):
+    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    middle = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    high = a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (middle >> 32)
+    return high, a * b
+
+
+def _trial_uniforms(seeds, num):
+    """(N, num) uniforms on [0, 1), row i the first `num` doubles of
+    `Generator(Philox(SeedSequence(seeds[i])))`; each trial's draws nest, so
+    a column prefix is the draw at a smaller count."""
+    key = _philox_keys(seeds)
+    blocks = -(-num // 4)
+    # the four counter words as (even, odd) = ((c0, c2), (c1, c3)); numpy
+    # increments the counter before each block, so block b runs on b + 1
+    even = np.zeros((2, seeds.size, blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + _PHILOX_W
+        high, low = _mulhilo(_PHILOX_M, even)
+        even, odd = high[::-1] ^ odd ^ key, low[::-1]
+    # each block yields c0, c1, c2, c3 in turn
+    words = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(seeds.size, 4 * blocks)
+    return (words[:, :num] >> 11) * 2.0**-53
+
+
+def _gains_from_uniforms(geometry: NetworkGeometry, u) -> np.ndarray:
+    """Sorted gains from an (N, K) block of uniforms: `_exp_draws`' inverse
+    CDF at unit mean, the path-loss scale and the noise floor."""
+    fading = -np.log1p(-u)
+    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
+    return np.sort(scale * fading / geometry.noise_user_mw, axis=1)
+
+
 def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:
     """Sorted (N, K) gain matrix, row i drawn from its own stream keyed by seeds[i].
 
-    Row i equals `sample_realization(geometry, seeds[i]).user_gains` bit for
-    bit; only the stream set-up runs per trial.
+    Row i is drawn from `Philox(SeedSequence(seeds[i]))`, numpy's stream, and
+    equals `sample_realization(geometry, seeds[i]).user_gains` bit for bit.
+    Seeds must be integers in [0, 2**64).
     """
-    seeds = np.asarray(seeds).reshape(-1)
-    u = np.empty((seeds.size, geometry.num_users))
-    for row, seed in zip(u, seeds.tolist()):
-        _generator(seed).random(out=row)
-    fading = -np.log1p(-u)  # _exp_draws' inverse CDF at unit mean
-    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
-    return np.sort(scale * fading / geometry.noise_user_mw, axis=1)
+    seeds = _seed_array(seeds)
+    return _gains_from_uniforms(geometry, _trial_uniforms(seeds, geometry.num_users))
 
 
 def sample_realization(geometry: NetworkGeometry, seed: int) -> ChannelRealization:

@@ -16,6 +16,8 @@ import numpy as np
 from .channel import (
     ChannelRealization,
     NetworkGeometry,
+    _gains_from_uniforms,
+    _trial_uniforms,
     db_to_linear,
     dbm_to_mw,
     sample_trial_gains,
@@ -24,12 +26,11 @@ from .channel import (
 from .maxmin import (
     MaxMinSolution,
     _bisect_rows,
-    _stringency,
     optimal_power_ratio_user1,
     solve_maxmin_bisection,
 )
 from .power_min import PowerMinSolution, solve_min_power
-from .secrecy import SecrecyRequirement
+from .secrecy import SecrecyRequirement, _stringency
 from .tdma import TdmaMinPower, _tdma_maxmin_rows, tdma_maxmin, tdma_min_power
 
 SWEEP_KINDS = ("power_vs_Q", "rate_vs_P", "beta_vs_eps", "avg_rate_vs_eps", "gain_vs_K")
@@ -216,7 +217,7 @@ def _run_beta_vs_eps(spec):
     rows = []
     for eps in spec.axis.values():
         eps = float(eps)
-        phi = channel.eaves_avg_gain * math.log(1.0 / eps)
+        phi = _stringency(channel.eaves_avg_gain, eps)
         if g1 <= phi:
             rows.append(AggregateResult(eps, "noma", "beta1", math.nan, 0.0, 0.0, 1, spec.seed))
         else:
@@ -268,15 +269,19 @@ def _run_gain_vs_k(spec):
     eps = spec.fixed["eps"]
     p = dbm_to_mw(spec.fixed["p_dbm"])
     tol = spec.fixed.get("tol", 1e-10)
-    seeds = trial_seeds(spec.seed, spec.trials)
-    rows = []
+    counts = []
     for x in spec.axis.values():
         num = int(round(float(x)))
         if abs(num - float(x)) > 1e-9 or num < 1:
             raise ValueError("user-count axis must hold positive integers")
+        counts.append(num)
+    # same per-trial seed for every K: draws nest, so one draw at the largest
+    # count serves every K through its column prefix, and adjacent K share noise
+    uniforms = _trial_uniforms(trial_seeds(spec.seed, spec.trials), max(counts))
+    rows = []
+    for num in counts:
         geometry = _geometry(spec.fixed, num)
-        # same per-trial seed for every K: draws nest, so adjacent K share noise
-        gains = sample_trial_gains(geometry, seeds)
+        gains = _gains_from_uniforms(geometry, uniforms[:, :num])
         rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(
             gains, geometry.eaves_avg_gain(), eps, p, tol
         )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion, _recursion_rows
-from .secrecy import PowerAllocation
+from .secrecy import PowerAllocation, _stringency
 
 DEFAULT_TOL = 1e-10
 
@@ -34,19 +34,13 @@ class MaxMinSolution:
             raise ValueError("max-min rate must be positive")
 
 
-def _stringency(eaves_avg_gain, eps):
-    if not (0.0 < eps < 1.0):
-        raise ValueError("outage bound must lie in (0, 1)")
-    return eaves_avg_gain * math.log(1.0 / eps)
-
-
 def check_positive_rate_feasibility(channel: ChannelRealization, eps: float) -> bool:
     """A positive common rate exists iff every gain clears the stringency."""
     return channel.user_gains[0] > _stringency(channel.eaves_avg_gain, eps)
 
 
 def _positive_rate_verdict(channel, eps):
-    phi = channel.eaves_avg_gain * math.log(1.0 / eps)
+    phi = _stringency(channel.eaves_avg_gain, eps)
     failing = frozenset(
         k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] <= phi
     )
@@ -73,7 +67,7 @@ def solve_maxmin_bisection(
         return _positive_rate_verdict(channel, eps)
 
     gains = channel.user_gains
-    phi = channel.eaves_avg_gain * math.log(1.0 / eps)
+    phi = _stringency(channel.eaves_avg_gain, eps)
     lo = 0.0
     hi = math.log2(1.0 + gains[0] * power_budget_mw)
     best = None
@@ -167,7 +161,7 @@ def solve_maxmin_two_user(
         return _positive_rate_verdict(channel, eps)
 
     g1, g2 = channel.user_gains
-    phi = channel.eaves_avg_gain * math.log(1.0 / eps)
+    phi = _stringency(channel.eaves_avg_gain, eps)
     p = power_budget_mw
     psi = _psi(g1, g2, phi, p)
     den = 2.0 * ((1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p))

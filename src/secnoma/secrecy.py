@@ -51,6 +51,14 @@ class RatePair:
             raise ValueError("need 0 <= confidential rate <= codeword rate")
 
 
+def _stringency(eaves_avg_gain, eps):
+    """Composite stringency gamma_e_bar * ln(1/eps): the effective
+    eavesdropper gain that every confidential rate must clear."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError("outage bound must lie in (0, 1)")
+    return eaves_avg_gain * math.log(1.0 / eps)
+
+
 @dataclass(frozen=True)
 class SecrecyRequirement:
     """QoS floor on the confidential rate plus the tolerated secrecy outage."""
@@ -67,7 +75,7 @@ class SecrecyRequirement:
     def stringency(self, channel: ChannelRealization) -> float:
         """Composite stringency gamma_e_bar * ln(1/eps); rates are achievable
         only above this effective eavesdropper gain."""
-        return channel.eaves_avg_gain * math.log(1.0 / self.outage_bound)
+        return _stringency(channel.eaves_avg_gain, self.outage_bound)
 
 
 def _check_user_index(k, num_users):

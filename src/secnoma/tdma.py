@@ -14,13 +14,13 @@ from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
     _log2_each,
-    _stringency,
     _sum_rows,
     check_positive_rate_feasibility,
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
 from .power_min import InfeasibleReason, InfeasibleVerdict
+from .secrecy import _stringency
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def tdma_user_rate(gain: float, eaves_avg_gain: float, eps: float, p_mw: float, 
         raise ValueError("gain, eavesdropper gain and power must be positive")
     if not (0.0 <= t <= 1.0):
         raise ValueError("slot fraction must lie in [0, 1]")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("outage bound must lie in (0, 1)")
-    phi = eaves_avg_gain * math.log(1.0 / eps)
+    phi = _stringency(eaves_avg_gain, eps)
     return t * _slot_rate_full(gain, phi, p_mw)
 
 

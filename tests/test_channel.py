@@ -109,7 +109,7 @@ def test_trial_seeds_prefix_stable():
 @given(
     dists=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=6),
     alpha=st.floats(2.0, 6.0),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
 )
 def test_sampled_gains_sorted_positive(dists, alpha, seed):
     geom = NetworkGeometry(tuple(dists), 80.0, alpha, 1e-7, 1e-7)

@@ -96,6 +96,16 @@ def test_domain_errors_exit_one():
     assert rc == EXIT_USAGE and "error:" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_range_is_one_line_error(seed):
+    rc, out, err = run_cli(
+        "min-power", "--num-users", "2", "--d-user", "50", "--d-eave", "100",
+        "--q", "1", "--eps", "0.3", "--seed", seed,
+    )
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: fading seeds must be integers in [0, 2**64)\n"
+
+
 def test_max_min_rate_worked_instance():
     rc, out, _ = run_cli(
         "max-min-rate", "--gains-db", GAINS_DB, "--eaves-db", "0",

@@ -1,7 +1,9 @@
-"""The array-first trial engine against the scalar single-instance solvers.
+"""The array-first trial engine against numpy's streams and the scalar
+single-instance solvers.
 
 Fading sweeps sample one (N, K) gain matrix and solve all of its rows in
-lockstep; every per-trial number must equal the scalar path bit for bit.
+lockstep; every per-trial draw must equal numpy's own per-trial generator,
+and every per-trial number the scalar path, bit for bit.
 """
 import math
 
@@ -18,6 +20,7 @@ from secnoma import (
     tdma_maxmin,
     trial_seeds,
 )
+from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
 from secnoma.maxmin import _log2_each, _pow2_each, _sum_rows
 from secnoma.power_min import _recursion, _recursion_rows
@@ -30,20 +33,61 @@ def _geometry(num):
     return NetworkGeometry(tuple(40.0 + 5.0 * k for k in range(num)), 80.0, 3.5, 1e-7, 2e-7)
 
 
-@pytest.mark.parametrize("num", USER_COUNTS)
+# one to three Philox blocks of four uniforms per trial
+DRAW_COUNTS = range(1, 10)
+# one- and two-word SeedSequence entropy, at both ends of each word
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _seeds(root, trials):
+    return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), trial_seeds(root, trials)])
+
+
+def _numpy_gains(geometry, seed):
+    # the documented stream, built by numpy itself: one Philox keyed by
+    # SeedSequence(seed) per trial
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(geometry.num_users)
+    scale = np.asarray(geometry.distances_user) ** (-geometry.path_loss_exponent)
+    return np.sort(scale * (-1.0 * np.log1p(-u)) / geometry.noise_user_mw)
+
+
+@pytest.mark.parametrize("num", DRAW_COUNTS)
 def test_trial_gains_rows_equal_single_draws(num):
     geometry = _geometry(num)
-    seeds = trial_seeds(1000 + num, 1000)
+    seeds = _seeds(1000 + num, 1000)
     gains = sample_trial_gains(geometry, seeds)
-    assert gains.shape == (1000, num)
-    scale = np.asarray(geometry.distances_user) ** (-geometry.path_loss_exponent)
+    assert gains.shape == (len(seeds), num)
     for row, seed in zip(gains, seeds.tolist()):
-        assert tuple(row.tolist()) == sample_realization(geometry, seed).user_gains
-    # the documented stream: one Philox keyed by SeedSequence(seed) per trial
-    for row, seed in zip(gains[:50], seeds[:50].tolist()):
-        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(num)
-        expected = np.sort(scale * (-1.0 * np.log1p(-u)) / geometry.noise_user_mw)
-        assert row.tobytes() == expected.tobytes()
+        assert row.tobytes() == _numpy_gains(geometry, seed).tobytes()
+    # the single-instance path is the N=1 call of the same kernel
+    assert sample_realization(geometry, seeds[0]).user_gains == tuple(gains[0].tolist())
+
+
+def test_trial_gains_follow_trial_order():
+    geometry = _geometry(5)
+    seeds = _seeds(77, 300)
+    perm = np.random.default_rng(3).permutation(len(seeds))
+    gains = sample_trial_gains(geometry, seeds)
+    assert sample_trial_gains(geometry, seeds[perm]).tobytes() == gains[perm].tobytes()
+
+
+def test_prefix_draw_equals_draw_at_each_count():
+    # gain_vs_K draws once at the largest count and slices each smaller one
+    seeds = _seeds(78, 300)
+    uniforms = _trial_uniforms(seeds, max(DRAW_COUNTS))
+    for num in DRAW_COUNTS:
+        geometry = _geometry(num)
+        prefix = _gains_from_uniforms(geometry, uniforms[:, :num])
+        assert prefix.tobytes() == sample_trial_gains(geometry, seeds).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[-1], [2**64], [1.5], [3, "4"], [-1, 2**64 - 1], np.array([5, -2]), np.array([0.0])],
+)
+def test_trial_gains_reject_seeds_outside_the_range(seeds):
+    with pytest.raises(ValueError, match=r"^fading seeds must be integers in \[0, 2\*\*64\)$"):
+        sample_trial_gains(_geometry(2), seeds)
 
 
 def _random_gains(num, rows, rng):
