@@ -242,10 +242,7 @@ def sample_gain_matrix(geometry: NetworkGeometry, seed: int, trials: int) -> np.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    rng = _generator(seed)
-    fading = _exp_draws(rng, 1.0, (trials, geometry.num_users))
-    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
-    return np.sort(scale * fading / geometry.noise_user_mw, axis=1)
+    return _gains_from_uniforms(geometry, _generator(seed).random((trials, geometry.num_users)))
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:

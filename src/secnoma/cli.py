@@ -18,7 +18,7 @@ from .channel import (
     sample_realization,
 )
 from .experiments import SweepSpec, run_sweep, write_results
-from .maxmin import _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
+from .maxmin import DEFAULT_TOL, _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
 from .power_min import InfeasibleVerdict, solve_min_power
 from .secrecy import SecrecyRequirement, secrecy_outage_closed_form
 from .tdma import compare_maxmin
@@ -220,7 +220,7 @@ def build_parser():
     _add_channel_options(p_max)
     p_max.add_argument("--p-dbm", type=float, required=True, help="total power budget, dBm")
     p_max.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
-    p_max.add_argument("--tol", type=float, default=1e-10, help="bisection rate tolerance")
+    p_max.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bisection rate tolerance")
     p_max.set_defaults(handler=_cmd_max_min_rate)
 
     p_cmp = sub.add_parser("compare-oma", help="superposition vs TDMA max-min rates")

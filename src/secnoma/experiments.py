@@ -24,6 +24,7 @@ from .channel import (
     trial_seeds,
 )
 from .maxmin import (
+    DEFAULT_TOL,
     MaxMinSolution,
     _bisect_rows,
     optimal_power_ratio_user1,
@@ -84,6 +85,8 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SweepSpec":
@@ -185,7 +188,7 @@ def _run_power_vs_q(spec):
 def _run_rate_vs_p(spec):
     channel = _fixed_channel(spec.fixed)
     eps = spec.fixed["eps"]
-    tol = spec.fixed.get("tol", 1e-10)
+    tol = spec.fixed.get("tol", DEFAULT_TOL)
     rows = []
     for p_dbm in spec.axis.values():
         p_dbm = float(p_dbm)
@@ -226,6 +229,17 @@ def _run_beta_vs_eps(spec):
     return rows
 
 
+def _avg_rate_rows(rows, x, spec, rates, feasible):
+    """Append the avg_min_rate row of each scheme at axis point x, from the
+    per-trial (noma, tdma_opt, tdma_eq) rates; returns the feasible fraction
+    and the noma and tdma_opt (mean, stderr)."""
+    frac = float(feasible.mean())
+    stats = [_mean_stderr(per_trial) for per_trial in rates]
+    for scheme, (mean, stderr) in zip(("noma", "tdma_opt", "tdma_eq"), stats):
+        rows.append(AggregateResult(x, scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed))
+    return frac, stats[0], stats[1]
+
+
 def _maxmin_rates_per_trial(gains, eaves_avg_gain, eps, p, tol):
     """Zero-filled per-trial rates for the three schemes plus feasibility flags,
     one entry per row of the sorted (N, K) gain matrix."""
@@ -246,29 +260,22 @@ def _run_avg_rate_vs_eps(spec):
     num = int(spec.fixed.get("k", 2))
     geometry = _geometry(spec.fixed, num)
     p = dbm_to_mw(spec.fixed["p_dbm"])
-    tol = spec.fixed.get("tol", 1e-10)
+    tol = spec.fixed.get("tol", DEFAULT_TOL)
     # one realization per trial, shared across axis points: the eps trend is
     # then a per-trial monotone map and the average inherits it
     gains = sample_trial_gains(geometry, trial_seeds(spec.seed, spec.trials))
     rows = []
     for eps in spec.axis.values():
         eps = float(eps)
-        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(
-            gains, geometry.eaves_avg_gain(), eps, p, tol
-        )
-        frac = float(feasible.mean())
-        for scheme, rates in (("noma", rate_noma), ("tdma_opt", rate_opt), ("tdma_eq", rate_eq)):
-            mean, stderr = _mean_stderr(rates)
-            rows.append(
-                AggregateResult(eps, scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed)
-            )
+        *rates, feasible = _maxmin_rates_per_trial(gains, geometry.eaves_avg_gain(), eps, p, tol)
+        _avg_rate_rows(rows, eps, spec, rates, feasible)
     return rows
 
 
 def _run_gain_vs_k(spec):
     eps = spec.fixed["eps"]
     p = dbm_to_mw(spec.fixed["p_dbm"])
-    tol = spec.fixed.get("tol", 1e-10)
+    tol = spec.fixed.get("tol", DEFAULT_TOL)
     counts = []
     for x in spec.axis.values():
         num = int(round(float(x)))
@@ -282,17 +289,10 @@ def _run_gain_vs_k(spec):
     for num in counts:
         geometry = _geometry(spec.fixed, num)
         gains = _gains_from_uniforms(geometry, uniforms[:, :num])
-        rate_noma, rate_opt, rate_eq, feasible = _maxmin_rates_per_trial(
-            gains, geometry.eaves_avg_gain(), eps, p, tol
+        *rates, feasible = _maxmin_rates_per_trial(gains, geometry.eaves_avg_gain(), eps, p, tol)
+        frac, (mean_noma, se_noma), (mean_opt, se_opt) = _avg_rate_rows(
+            rows, float(num), spec, rates, feasible
         )
-        frac = float(feasible.mean())
-        for scheme, rates in (("noma", rate_noma), ("tdma_opt", rate_opt), ("tdma_eq", rate_eq)):
-            mean, stderr = _mean_stderr(rates)
-            rows.append(
-                AggregateResult(float(num), scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed)
-            )
-        mean_noma, se_noma = _mean_stderr(rate_noma)
-        mean_opt, se_opt = _mean_stderr(rate_opt)
         if mean_opt > 0.0:
             ratio = mean_noma / mean_opt
             # first-order error propagation; the trial-level correlation is
@@ -318,8 +318,13 @@ _RUNNERS = {
 
 
 def run_sweep(spec: SweepSpec) -> list[AggregateResult]:
-    """Execute a sweep; rows come back in deterministic axis-then-scheme order."""
-    return _RUNNERS[spec.kind](spec)
+    """Execute a sweep; rows come back in deterministic axis-then-scheme order.
+
+    A fixed key the kind reads but the spec lacks raises a ValueError naming both."""
+    try:
+        return _RUNNERS[spec.kind](spec)
+    except KeyError as missing:
+        raise ValueError(f"sweep kind {spec.kind!r} needs the fixed key {missing}") from None
 
 
 def _fmt(value):

@@ -148,6 +148,15 @@ def _psi(g1, g2, phi, p):
     )
 
 
+def _split_terms(g1, g2, phi, p):
+    """psi, the numerator of the weak user's optimal power, and the bracketed
+    factor of its denominator (2 * factor for the power, 2 * p * factor for
+    the budget share)."""
+    psi = _psi(g1, g2, phi, p)
+    num = (1.0 + phi * p) * (g2 + g1 * (1.0 + 2.0 * g2 * p) - 2.0 * phi * (1.0 + g1 * p)) - psi
+    return psi, num, (1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p)
+
+
 def solve_maxmin_two_user(
     channel: ChannelRealization, eps: float, power_budget_mw: float
 ) -> MaxMinSolution | InfeasibleVerdict:
@@ -163,9 +172,9 @@ def solve_maxmin_two_user(
     g1, g2 = channel.user_gains
     phi = _stringency(channel.eaves_avg_gain, eps)
     p = power_budget_mw
-    psi = _psi(g1, g2, phi, p)
-    den = 2.0 * ((1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p))
-    p1 = ((1.0 + phi * p) * (g2 + g1 * (1.0 + 2.0 * g2 * p) - 2.0 * phi * (1.0 + g1 * p)) - psi) / den
+    psi, num, core = _split_terms(g1, g2, phi, p)
+    den = 2.0 * core
+    p1 = num / den
     p2 = (psi - (g1 + g2) - phi * (g2 * p - g1 * p - 2.0)) / den
     rate = math.log2(rate_ceiling_two_user(g1, g2, phi, p))
     return MaxMinSolution(rate, PowerAllocation((p1, p2)), 0)
@@ -204,6 +213,5 @@ def optimal_power_ratio_user1(g1: float, g2: float, phi: float, p: float) -> flo
         raise ValueError("need gains above stringency, ascending")
     if not (p > 0):
         raise ValueError("budget must be positive")
-    psi = _psi(g1, g2, phi, p)
-    den = 2.0 * p * ((1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p))
-    return ((1.0 + phi * p) * (g2 + g1 * (1.0 + 2.0 * g2 * p) - 2.0 * phi * (1.0 + g1 * p)) - psi) / den
+    _, num, core = _split_terms(g1, g2, phi, p)
+    return num / (2.0 * p * core)

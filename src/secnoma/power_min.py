@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, max_codeword_rate
+from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, max_codeword_rate
 
 # denominators this close to zero mean the required power diverges
 DENOM_TOL = 1e-12
@@ -53,13 +53,10 @@ def constraint_ratio(gain: float, q: float, own_power: float, interference_power
     Increasing in own_power and decreasing in interference_power on the
     region where the QoS itself is met.
     """
-    rho = 2.0 ** q
-    s_here = own_power + interference_power
-    ratio = (1.0 + gain * s_here) / (1.0 + gain * interference_power)
-    den = rho * s_here - ratio * interference_power
+    num, den = _outage_terms(gain, own_power, interference_power, q)
     if den <= 0.0:
         raise ValueError("degenerate constraint: no positive stringency bound")
-    return (ratio - rho) / den
+    return num / den
 
 
 def _recursion(gains, phi, rho):

@@ -136,35 +136,37 @@ def max_codeword_rate(channel: ChannelRealization, alloc: PowerAllocation, k: in
     return math.log2((1.0 + g * s_here) / (1.0 + g * s_next))
 
 
+def _outage_terms(g_t, p_k, s_next, q):
+    """(num, den) of the outage exponent -num / (gamma_e_bar * den) for the
+    pair (max codeword rate at effective gain g_t, rate q); num has the sign
+    of the rate margin."""
+    s_here = s_next + p_k
+    rho = 2.0 ** q
+    ratio = (1.0 + g_t * s_here) / (1.0 + g_t * s_next)
+    return ratio - rho, rho * s_here - ratio * s_next
+
+
 def _outage_closed_form(g_t, p_k, s_next, eaves_avg_gain, q):
     """Outage of the pair (max codeword rate at effective gain g_t, rate q).
 
     Exponential eavesdropper gain integrates in closed form. A nonpositive
-    rate margin makes the exponent nonnegative and the clamp returns 1. The
+    rate margin leaves no protection at all: the outage is 1, and the
+    exponent, nonnegative there, is never evaluated (it can overflow). The
     denominator is provably positive for this rate pair whenever q > 0
     (the SIC residue s_next is below the full suffix s_here); the den <= 0
     branch is a conservative guard only.
     """
     if q <= 0:
         raise ValueError("confidential rate must be positive")
-    s_here = s_next + p_k
-    rho = 2.0 ** q
-    ratio = (1.0 + g_t * s_here) / (1.0 + g_t * s_next)
-    num = ratio - rho
-    den = rho * s_here - ratio * s_next
-    if den <= 0.0:
+    num, den = _outage_terms(g_t, p_k, s_next, q)
+    if num <= 0.0 or den <= 0.0:
         return 1.0
-    p = math.exp(-num / (eaves_avg_gain * den))
-    return min(1.0, max(0.0, p))
+    return math.exp(-num / (eaves_avg_gain * den))
 
 
 def secrecy_outage_closed_form(channel: ChannelRealization, alloc: PowerAllocation, q: float, k: int) -> float:
     """P(codeword rate - q < eavesdropper rate on message k), canonical order."""
-    _check_user_index(k, channel.num_users)
-    g_t = min(channel.user_gains[k - 1 :])
-    return _outage_closed_form(
-        g_t, alloc.powers_mw[k - 1], _suffix_power(alloc, k), channel.eaves_avg_gain, q
-    )
+    return secrecy_outage_for_order(channel.user_gains, channel.eaves_avg_gain, alloc, q, k)
 
 
 def secrecy_outage_for_order(

@@ -19,7 +19,7 @@ from .maxmin import (
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
-from .power_min import InfeasibleReason, InfeasibleVerdict
+from .power_min import DENOM_TOL, InfeasibleReason, InfeasibleVerdict
 from .secrecy import _stringency
 
 
@@ -129,7 +129,7 @@ def tdma_min_power(
     num = channel.num_users
     rho = 2.0 ** (num * q)
     failing = frozenset(
-        k for k in range(1, num + 1) if channel.user_gains[k - 1] - phi * rho <= 1e-12
+        k for k in range(1, num + 1) if channel.user_gains[k - 1] - phi * rho <= DENOM_TOL
     )
     if failing:
         return InfeasibleVerdict(failing, InfeasibleReason.TDMA_QOS)

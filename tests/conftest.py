@@ -1,4 +1,12 @@
-"""Shared pytest wiring: an end-of-run scoreboard for the acceptance suite."""
+"""Shared pytest wiring: the checkout's package for `python -m secnoma`
+subprocesses, and an end-of-run scoreboard for the acceptance suite."""
+import os
+from pathlib import Path
+
+# pyproject's `pythonpath` reaches only this process; child interpreters
+# find the package through the environment
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

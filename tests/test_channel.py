@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -86,6 +87,13 @@ def test_gain_matrix_matches_per_trial_statistics():
     scale = 50.0 ** -4 / 1e-7
     draws = sample_gain_matrix(geom, 7, 1_000_000)[:, 0]
     assert draws.mean() == pytest.approx(scale, rel=0.01)
+
+
+def test_gain_matrix_is_frozen():
+    # the batch sampler's stream and gain transform, bit for bit
+    geom = NetworkGeometry((30.0, 80.0, 50.0), 80.0, 4.0, 1e-7, 1e-7)
+    digest = hashlib.sha256(sample_gain_matrix(geom, 7, 1000).tobytes()).hexdigest()
+    assert digest == "036fa89a2b113ccb13fea75757115be7208a00533aad5922b27df38e7ea30fd0"
 
 
 def test_normalized_gain_is_unit_exponential():

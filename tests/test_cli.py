@@ -219,6 +219,25 @@ def test_sweep_config_errors(tmp_path):
     assert rc == EXIT_USAGE and "no output path" in err
 
 
+def test_sweep_negative_seed_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG + "seed = -1\n")
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "sweep config error: seed must be nonnegative\n"
+    assert not out.exists()
+
+
+def test_sweep_missing_fixed_key_is_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG.replace("gamma_e_db = 20\n", ""))
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: sweep kind 'power_vs_Q' needs the fixed key 'gamma_e_db'\n"
+    assert not out.exists()
+
+
 def test_geometry_path_is_seeded(tmp_path):
     args = (
         "min-power", "--num-users", "2", "--d-user", "30", "--d-eave", "100",

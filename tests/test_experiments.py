@@ -54,6 +54,8 @@ def test_spec_validation():
         SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 0))
     with pytest.raises(ValueError):
         SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), trials=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), seed=-1)
     with pytest.raises(ValueError):
         AggregateResult(1.0, "noma", "m", 0.0, -1.0, 1.0, 1, 0)
     with pytest.raises(ValueError):

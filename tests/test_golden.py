@@ -1,16 +1,14 @@
 """Frozen SHA-256 digests of the seven standard study CSVs.
 
-The studies run at their full trial counts and seeds, exactly as
-`scripts/run_fig_sweeps.py` runs them, so any drift in a solver, the
-sampler or the CSV writer shows up as a changed digest.
+Each study is a file in `scripts/specs/`, run at its full trial count and
+seed through `scripts/run_fig_sweeps.py`, so any drift in a solver, the
+sampler, the config reader or the CSV writer shows up as a changed digest.
 """
 import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
-
-from secnoma import run_sweep, write_results
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_fig_sweeps.py"
 _spec = importlib.util.spec_from_file_location("run_fig_sweeps", _SCRIPT)
@@ -29,11 +27,11 @@ GOLDEN_SHA256 = {
 
 
 def test_every_standard_study_has_a_digest():
-    assert set(run_fig_sweeps.STUDIES) == set(GOLDEN_SHA256)
+    assert set(run_fig_sweeps.study_specs()) == set(GOLDEN_SHA256)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+@pytest.mark.parametrize("name", sorted(run_fig_sweeps.study_specs()))
 def test_study_csv_matches_golden_digest(name, tmp_path):
+    assert run_fig_sweeps.main(["--outdir", str(tmp_path), "--only", name]) == 0
     path = tmp_path / f"{name}.csv"
-    write_results(run_sweep(run_fig_sweeps.STUDIES[name]), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]

@@ -113,6 +113,12 @@ def test_outage_zero_margin_is_one():
     assert secrecy_outage_closed_form(TWO_USER, ALLOC, q, 1) == 1.0
 
 
+def test_outage_is_one_when_rate_exceeds_codeword_rate():
+    # negative margin against a feeble eavesdropper: the exponent would overflow
+    feeble = ChannelRealization((5.0, 10.0), 1e-6)
+    assert secrecy_outage_closed_form(feeble, ALLOC, 5.0, 1) == 1.0
+
+
 def test_outage_vanishes_with_eavesdropper():
     feeble = ChannelRealization((5.0, 10.0), 1e-12)
     assert secrecy_outage_closed_form(feeble, ALLOC, 1.0, 1) < 1e-100
@@ -125,6 +131,12 @@ def test_outage_monotone_in_effective_gain():
         p = secrecy_outage_for_order((g_weak, 20.0), 1.0, ALLOC, 1.0, 1)
         assert p < prev
         prev = p
+
+
+def test_outage_rejects_allocation_of_other_size():
+    # a third power has no user to decode it
+    with pytest.raises(ValueError, match="one gain per decode position required"):
+        secrecy_outage_closed_form(TWO_USER, PowerAllocation((0.5, 0.25, 0.125)), 1.0, 2)
 
 
 def test_general_order_matches_canonical_on_sorted_gains():
