@@ -244,6 +244,9 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:
+        print("error: an input is too large: the arithmetic overflows", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -240,20 +240,53 @@ def _avg_rate_rows(rows, x, spec, rates, feasible):
     return frac, stats[0], stats[1]
 
 
-def _maxmin_rates_per_trial(gains, eaves_avg_gain, eps, p, tol):
-    """Zero-filled per-trial rates for the three schemes plus feasibility flags,
-    one entry per row of the sorted (N, K) gain matrix."""
-    phi = _stringency(eaves_avg_gain, eps)
-    # infeasible realizations contribute zero rate
-    feasible = gains[:, 0] > phi
-    rate_noma = np.zeros(len(gains))
-    rate_opt = np.zeros(len(gains))
-    rate_eq = np.zeros(len(gains))
-    if feasible.any():
-        solvable = gains[feasible]
-        rate_noma[feasible] = _bisect_rows(solvable, phi, p, tol)
-        rate_opt[feasible], rate_eq[feasible] = _tdma_maxmin_rows(solvable, phi, p)
-    return rate_noma, rate_opt, rate_eq, feasible
+# Feasible rows per lockstep solve: enough to spread numpy's fixed cost per
+# call over many rows, few enough to keep the solver's arrays small.
+_BATCH_ROWS = 4096
+
+
+def _maxmin_rates_per_trial(points, p, tol):
+    """Yield, for each axis point taken in order as (sorted (N, K) gain
+    matrix, phi), its zero-filled per-trial rates for the three schemes plus
+    its feasibility flags.
+
+    Consecutive points share one lockstep solve of at most _BATCH_ROWS
+    feasible rows; a point with more is solved alone. Points are read and
+    yielded one batch at a time, so only one batch is held in memory.
+    """
+    batch, size = [], 0
+    for gains, phi in points:
+        # infeasible realizations contribute zero rate
+        feasible = gains[:, 0] > phi
+        count = int(np.count_nonzero(feasible))
+        if batch and size + count > _BATCH_ROWS:
+            yield from _solve_batch(batch, p, tol)
+            batch, size = [], 0
+        batch.append((gains[feasible], phi, feasible))
+        size += count
+    if batch:
+        yield from _solve_batch(batch, p, tol)
+
+
+def _solve_batch(batch, p, tol):
+    """Solve the feasible rows of a batch of (rows, phi, feasible) points in
+    one lockstep and yield each point's rates and flags. Rows with fewer
+    users than the widest point that has rows sit in the last columns, +inf
+    to their left."""
+    width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
+    counts = [len(rows) for rows, _, _ in batch]
+    stacked = np.full((sum(counts), width), np.inf)
+    phi = np.repeat([phi for _, phi, _ in batch], counts)
+    start = 0
+    for rows, _, _ in batch:
+        if len(rows):
+            stacked[start : start + len(rows), width - rows.shape[1] :] = rows
+            start += len(rows)
+    solved = np.stack((_bisect_rows(stacked, phi, p, tol), *_tdma_maxmin_rows(stacked, phi, p)))
+    for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
+        rates = np.zeros((3, len(feasible)))
+        rates[:, feasible] = block
+        yield (*rates, feasible)
 
 
 def _run_avg_rate_vs_eps(spec):
@@ -264,10 +297,10 @@ def _run_avg_rate_vs_eps(spec):
     # one realization per trial, shared across axis points: the eps trend is
     # then a per-trial monotone map and the average inherits it
     gains = sample_trial_gains(geometry, trial_seeds(spec.seed, spec.trials))
+    eps_values = [float(eps) for eps in spec.axis.values()]
+    points = ((gains, _stringency(geometry.eaves_avg_gain(), eps)) for eps in eps_values)
     rows = []
-    for eps in spec.axis.values():
-        eps = float(eps)
-        *rates, feasible = _maxmin_rates_per_trial(gains, geometry.eaves_avg_gain(), eps, p, tol)
+    for eps, (*rates, feasible) in zip(eps_values, _maxmin_rates_per_trial(points, p, tol)):
         _avg_rate_rows(rows, eps, spec, rates, feasible)
     return rows
 
@@ -285,11 +318,14 @@ def _run_gain_vs_k(spec):
     # same per-trial seed for every K: draws nest, so one draw at the largest
     # count serves every K through its column prefix, and adjacent K share noise
     uniforms = _trial_uniforms(trial_seeds(spec.seed, spec.trials), max(counts))
-    rows = []
-    for num in counts:
+
+    def point(num):
         geometry = _geometry(spec.fixed, num)
         gains = _gains_from_uniforms(geometry, uniforms[:, :num])
-        *rates, feasible = _maxmin_rates_per_trial(gains, geometry.eaves_avg_gain(), eps, p, tol)
+        return gains, _stringency(geometry.eaves_avg_gain(), eps)
+
+    rows = []
+    for num, (*rates, feasible) in zip(counts, _maxmin_rates_per_trial(map(point, counts), p, tol)):
         frac, (mean_noma, se_noma), (mean_opt, se_opt) = _avg_rate_rows(
             rows, float(num), spec, rates, feasible
         )

@@ -88,13 +88,14 @@ def solve_maxmin_bisection(
 
 # Element-wise libm calls: numpy's SIMD power and log2 can round differently
 # from Python's `**` and math.log2, and the row solvers must reproduce the
-# scalar solvers bit for bit.
+# scalar solvers bit for bit. Reading through a memoryview makes one Python
+# float at a time instead of a list of them all.
 def _pow2_each(q):
-    return np.fromiter(map(math.pow, itertools.repeat(2.0), q.tolist()), float, q.size)
+    return np.fromiter(map(math.pow, itertools.repeat(2.0), memoryview(q.ravel())), float, q.size)
 
 
 def _log2_each(x):
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(math.log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
 def _sum_rows(a):
@@ -106,37 +107,42 @@ def _sum_rows(a):
 
 
 def _bisect_rows(gains, phi, power_budget_mw, tol):
-    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix whose
-    weakest gains all clear phi, in lockstep. Returns the M certified rates,
-    equal bit for bit to the scalar solver's.
+    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix in
+    lockstep, with one stringency per row in phi; every row's weakest gain
+    must clear its phi. Returns the M certified rates, equal bit for bit to
+    the scalar solver's.
 
-    Each row keeps its own bracket and leaves the active set once the bracket
-    is narrower than tol.
+    A row with fewer than K users holds its gains, ascending, in its last
+    columns and +inf in the leading ones. Each row keeps its own bracket and
+    leaves the active set once the bracket is narrower than tol. A floor is
+    accepted by raising lo to it, so lo is the last accepted floor, or 0.0
+    if there was none.
     """
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
     if not (tol > 0):
         raise ValueError("tolerance must be positive")
-    rate = np.full(len(gains), np.nan)
+    pad = np.isinf(gains[:, :-1])
+    pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
+    rate = np.empty(len(gains))
     active = np.arange(len(gains))
     lo = np.zeros(len(gains))
-    hi = _log2_each(1.0 + gains[:, 0] * power_budget_mw)
-    best = rate.copy()
-    while active.size:
-        live = hi - lo >= tol
-        if not live.all():
-            done = ~live
-            rate[active[done]] = best[done]
-            active, gains, lo, hi, best = active[live], gains[live], lo[live], hi[live], best[live]
-            continue
-        q = 0.5 * (lo + hi)
-        powers, ok = _recursion_rows(gains, phi, _pow2_each(q))
-        with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
+    hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
+    with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
+        while active.size:
+            live = hi - lo >= tol
+            if not live.all():
+                done = ~live
+                rate[active[done]] = lo[done]
+                active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
+                lo, hi = lo[live], hi[live]
+                continue
+            q = 0.5 * (lo + hi)
+            powers, ok = _recursion_rows(gains, phi, _pow2_each(q), pad)
             accept = ok & (_sum_rows(powers) <= power_budget_mw)
-        lo = np.where(accept, q, lo)
-        hi = np.where(accept, hi, q)
-        best = np.where(accept, q, best)
-    if np.isnan(rate).any():
+            lo = np.where(accept, q, lo)
+            hi = np.where(accept, hi, q)
+    if not (rate > 0.0).all():
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
     return rate
 
@@ -176,15 +182,17 @@ def solve_maxmin_two_user(
     den = 2.0 * core
     p1 = num / den
     p2 = (psi - (g1 + g2) - phi * (g2 * p - g1 * p - 2.0)) / den
-    rate = math.log2(rate_ceiling_two_user(g1, g2, phi, p))
+    rate = math.log2(_ceiling(psi, g1, g2, phi, p))
     return MaxMinSolution(rate, PowerAllocation((p1, p2)), 0)
+
+
+def _ceiling(psi, g1, g2, phi, p):
+    return (psi - (1.0 + phi * p) * (g2 - g1)) / (2.0 * (1.0 + phi * p) * (g1 - phi))
 
 
 def rate_ceiling_two_user(g1, g2, phi, p):
     """2^rate at the two-user optimum (the budget-limited ceiling b3)."""
-    return (_psi(g1, g2, phi, p) - (1.0 + phi * p) * (g2 - g1)) / (
-        2.0 * (1.0 + phi * p) * (g1 - phi)
-    )
+    return _ceiling(_psi(g1, g2, phi, p), g1, g2, phi, p)
 
 
 def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, float, float]:

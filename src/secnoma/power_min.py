@@ -79,24 +79,38 @@ def _recursion(gains, phi, rho):
     return powers, None, None
 
 
-def _recursion_rows(gains, phi, rho):
-    """`_recursion` on every row of an (M, K) gain matrix at once, with one rho
-    per row. Returns (powers, ok): powers of rows where ok is False are
-    meaningless. Same operations in the same order as the scalar version, so
-    feasible rows match it bit for bit."""
+def _recursion_rows(gains, phi, rho, pad=None):
+    """`_recursion` on every row of an (M, K) gain matrix at once, with one phi
+    and one rho per row. Returns (powers, ok): powers of rows where ok is False
+    are meaningless. Same operations in the same order as the scalar version,
+    so feasible rows match it bit for bit.
+
+    pad, if given, is an (M, W) mask of the leading columns that hold no user
+    (a row with fewer users sits in the last columns): such a column gets
+    exactly 0.0 power and never fails, so row sums are unchanged.
+    """
     num = gains.shape[1]
+    padded = 0 if pad is None else pad.shape[1]
     powers = np.empty_like(gains)
+    rho_m1 = rho - 1.0
+    phi_rho = phi * rho
+    phi_rho_m1 = phi * rho_m1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = gains[:, num - 1] - phi * rho
+        den = gains[:, num - 1] - phi_rho
         ok = den > DENOM_TOL
-        powers[:, num - 1] = (rho - 1.0) / den
-        suffix = powers[:, num - 1].copy()
+        suffix = rho_m1 / den
+        powers[:, num - 1] = suffix
         for k in range(num - 1, 0, -1):
             g = gains[:, k - 1]
-            den = g * (1.0 - phi * (rho - 1.0) * suffix) - phi * rho
-            ok &= den > DENOM_TOL
-            powers[:, k - 1] = (rho - 1.0) * (1.0 + phi * suffix) * (1.0 + g * suffix) / den
-            suffix += powers[:, k - 1]
+            den = g * (1.0 - phi_rho_m1 * suffix) - phi_rho
+            power = rho_m1 * (1.0 + phi * suffix) * (1.0 + g * suffix) / den
+            if k - 1 < padded:
+                ok &= (den > DENOM_TOL) | pad[:, k - 1]
+                power[pad[:, k - 1]] = 0.0
+            else:
+                ok &= den > DENOM_TOL
+            powers[:, k - 1] = power
+            suffix += power
     return powers, ok
 
 
@@ -134,26 +148,25 @@ class UserSelection:
 
 def select_users(channel: ChannelRealization, req: SecrecyRequirement) -> UserSelection:
     """Drop users that can never meet the constraints, then admit the rest
-    best-gain first while the joint problem stays feasible."""
+    best-gain first while the joint problem stays feasible.
+
+    Each greedy trial is a strongest-first suffix of the eligible users, and
+    the backward recursion on a longer suffix repeats the shorter one's
+    powers, so one recursion over all eligible users finds where admission
+    stops: just above the first user whose condition fails.
+    """
     phi = req.stringency(channel)
-    threshold = phi * 2.0 ** req.qos_rate
+    rho = 2.0 ** req.qos_rate
+    threshold = phi * rho
     eligible = [k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] > threshold]
     if not eligible:
         return UserSelection((), None)
-
-    selected: list[int] = []
-    solution = None
-    for k in reversed(eligible):  # gains ascend with index, so strongest first
-        trial = sorted(selected + [k])
-        sub = ChannelRealization(
-            tuple(channel.user_gains[i - 1] for i in trial), channel.eaves_avg_gain
-        )
-        candidate = solve_min_power(sub, req)
-        if isinstance(candidate, InfeasibleVerdict):
-            break
-        selected = trial
-        solution = candidate
-    return UserSelection(tuple(selected), solution)
+    _, failing, _ = _recursion([channel.user_gains[k - 1] for k in eligible], phi, rho)
+    selected = tuple(eligible[failing or 0 :])
+    if not selected:
+        return UserSelection((), None)
+    sub = ChannelRealization(tuple(channel.user_gains[k - 1] for k in selected), channel.eaves_avg_gain)
+    return UserSelection(selected, solve_min_power(sub, req))
 
 
 def bruteforce_min_power(

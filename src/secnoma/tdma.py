@@ -102,16 +102,18 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
 
 def _tdma_maxmin_rows(gains, phi, p_mw):
     """Optimal-time and equal-time `tdma_maxmin` rates for every row of an
-    (M, K) gain matrix, equal bit for bit to the scalar solver's."""
+    (M, K) gain matrix, with one stringency per row in phi, equal bit for bit
+    to the scalar solver's. A row's +inf gains are padding: such a slot has
+    infinite full rate, so it takes zero weight and is not counted."""
     if not (p_mw > 0 and math.isfinite(p_mw)):
         raise ValueError("power budget must be positive and finite")
-    full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi))
+    full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi[:, None]))
     full = np.where(full > 0.0, full, 0.0)
     weakest = full.min(axis=1)
     with np.errstate(divide="ignore"):
         weights = 1.0 / full
     rate_opt = np.where(weakest > 0.0, 1.0 / _sum_rows(weights), 0.0)
-    return rate_opt, weakest / gains.shape[1]
+    return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
 
 
 def tdma_min_power(

@@ -106,6 +106,19 @@ def test_seed_outside_range_is_one_line_error(seed):
     assert err == "error: fading seeds must be integers in [0, 2**64)\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("min-power", "--gains-db", "7,10", "--eaves-db", "0", "--q", "2000", "--eps", "0.3"),
+        ("max-min-rate", "--gains-db", "7,10", "--eaves-db", "0", "--p-dbm", "4000", "--eps", "0.3"),
+    ],
+)
+def test_overflowing_input_is_one_line_error(args):
+    rc, out, err = run_cli(*args)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: an input is too large: the arithmetic overflows\n"
+
+
 def test_max_min_rate_worked_instance():
     rc, out, _ = run_cli(
         "max-min-rate", "--gains-db", GAINS_DB, "--eaves-db", "0",

@@ -130,6 +130,34 @@ def test_select_users_keeps_feasible_everyone():
     assert sel.solution.total_power_mw == pytest.approx(17.0 / 19.0, rel=1e-12)
 
 
+def _greedy_select_users(channel, req):
+    # the greedy loop select_users replaced: one min-power solve per admitted user
+    threshold = req.stringency(channel) * 2.0 ** req.qos_rate
+    eligible = [k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] > threshold]
+    selected, solution = [], None
+    for k in reversed(eligible):
+        trial = sorted(selected + [k])
+        sub = ChannelRealization(tuple(channel.user_gains[i - 1] for i in trial), channel.eaves_avg_gain)
+        candidate = solve_min_power(sub, req)
+        if isinstance(candidate, InfeasibleVerdict):
+            break
+        selected, solution = trial, candidate
+    return tuple(selected), solution
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.1, 50.0), min_size=1, max_size=8),
+    st.floats(0.05, 1.5),
+    st.floats(0.05, 0.9),
+)
+def test_select_users_equals_greedy_loop(gains, q, eps):
+    channel = ChannelRealization(tuple(sorted(gains)), 1.0)
+    req = SecrecyRequirement(q, eps)
+    sel = select_users(channel, req)
+    assert (sel.selected_users, sel.solution) == _greedy_select_users(channel, req)
+
+
 def test_bruteforce_gap_on_worked_instance():
     gap = verify_optimality_bruteforce(TWO_USER, REQ_Q1, 1e-3, grid_max=2.0)
     assert -1e-6 <= gap <= 5e-3

@@ -1,9 +1,10 @@
 """The array-first trial engine against numpy's streams and the scalar
 single-instance solvers.
 
-Fading sweeps sample one (N, K) gain matrix and solve all of its rows in
-lockstep; every per-trial draw must equal numpy's own per-trial generator,
-and every per-trial number the scalar path, bit for bit.
+Fading sweeps sample one (N, K) gain matrix per axis point and solve the
+rows of consecutive axis points together in lockstep batches; every
+per-trial draw must equal numpy's own per-trial generator, and every
+per-trial number the scalar path, bit for bit.
 """
 import math
 
@@ -20,10 +21,12 @@ from secnoma import (
     tdma_maxmin,
     trial_seeds,
 )
+from secnoma import experiments
 from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
 from secnoma.maxmin import _log2_each, _pow2_each, _sum_rows
 from secnoma.power_min import _recursion, _recursion_rows
+from secnoma.secrecy import _stringency
 
 USER_COUNTS = range(1, 9)
 
@@ -113,14 +116,20 @@ def test_recursion_rows_equal_scalar_recursion(num):
     rng = np.random.default_rng(100 + num)
     gains = _random_gains(num, 500, rng)
     q = rng.uniform(0.0, 4.0, len(gains))
-    phi = 0.7
+    phi = rng.uniform(0.3, 1.0, len(gains))
     powers, ok = _recursion_rows(gains, phi, _pow2_each(q))
     assert 0 < ok.sum() < len(gains)
-    for row, qi, got, got_ok in zip(gains.tolist(), q.tolist(), powers, ok):
-        expected, _, _ = _recursion(row, phi, 2.0 ** qi)
+    for row, phi_i, qi, got, got_ok in zip(gains.tolist(), phi.tolist(), q.tolist(), powers, ok):
+        expected, _, _ = _recursion(row, phi_i, 2.0 ** qi)
         assert got_ok == (expected is not None)
         if got_ok:
             assert got.tobytes() == np.array(expected).tobytes()
+    # two padding columns on the left: exactly 0.0 power, same verdicts
+    padded = np.hstack([np.full((len(gains), 2), np.inf), gains])
+    pad_powers, pad_ok = _recursion_rows(padded, phi, _pow2_each(q), np.isinf(padded[:, :2]))
+    assert pad_ok.tobytes() == ok.tobytes()
+    assert not pad_powers[pad_ok, :2].any()
+    assert pad_powers[pad_ok, 2:].tobytes() == powers[ok].tobytes()
 
 
 def _scalar_rates(gains, eaves, eps, p, tol):
@@ -135,19 +144,75 @@ def _scalar_rates(gains, eaves, eps, p, tol):
     return rates
 
 
+def _check_points(points, eaves, p, tol=1e-10):
+    """Solve the (gains, eps) axis points in one call and compare every row
+    with the scalar solvers; returns the feasible count per point."""
+    got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
+    assert len(got) == len(points)
+    counts = []
+    for (gains, eps), (noma, opt, eq, feasible) in zip(points, got):
+        expected = _scalar_rates(gains, eaves, eps, p, tol)
+        assert np.array_equal(feasible, expected[0] > 0)
+        for rate, want in zip((noma, opt, eq), expected):
+            assert rate.tobytes() == want.tobytes()
+        counts.append(int(feasible.sum()))
+    return counts
+
+
 @pytest.mark.parametrize("num", USER_COUNTS)
 def test_rates_per_trial_equal_scalar_solvers(num):
+    # several eps in one call: one stringency per row of the shared solve
     rng = np.random.default_rng(num)
     gains = _random_gains(num, 250, rng)
-    eaves = 2.0
-    for eps in (0.05, 0.4):
-        for p in (0.01, 1.0, 100.0):
-            noma, opt, eq, feasible = _maxmin_rates_per_trial(gains, eaves, eps, p, 1e-10)
-            expected = _scalar_rates(gains, eaves, eps, p, 1e-10)
-            assert 0 < feasible.sum() < len(gains)  # infeasible rows are covered
-            assert np.array_equal(feasible, expected[0] > 0)
-            for got, want in zip((noma, opt, eq), expected):
-                assert got.tobytes() == want.tobytes()
+    for p in (0.01, 1.0, 100.0):
+        counts = _check_points([(gains, eps) for eps in (0.05, 0.2, 0.4)], 2.0, p)
+        assert all(0 < c < len(gains) for c in counts)  # infeasible rows are covered
+
+
+def test_rates_per_trial_ragged_user_counts():
+    # K = 1..8 in one padded batch, as gain_vs_K solves its axis
+    rng = np.random.default_rng(20)
+    points = [(_random_gains(num, 120, rng), 0.3) for num in USER_COUNTS]
+    for p in (0.01, 1.0, 100.0):
+        counts = _check_points(points, 2.0, p)
+        assert all(0 < c < 120 for c in counts)
+
+
+class _BatchSpy:
+    """Records the row count and user count of each lockstep solve."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        solve = experiments._bisect_rows
+
+        def spy(gains, *args):
+            self.shapes.append(gains.shape)
+            return solve(gains, *args)
+
+        monkeypatch.setattr(experiments, "_bisect_rows", spy)
+
+
+def test_rates_per_trial_batches_cross_the_cap(monkeypatch):
+    monkeypatch.setattr(experiments, "_BATCH_ROWS", 100)
+    spy = _BatchSpy(monkeypatch)
+    rng = np.random.default_rng(21)
+    gains = [_random_gains(num, 60, rng) for num in (2, 3, 5, 4)]
+    # eps 0.9 keeps every row (all gains are at least 1), gains below 0.1 clear
+    # no stringency at eps 0.3; the fourth point alone exceeds the cap
+    points = [(gains[0], 0.9), (gains[1], 0.9), (gains[2] * 1e-4, 0.3), (np.vstack([gains[2]] * 3), 0.9),
+              (gains[3], 0.9), (gains[3] * 1e-4, 0.3), (gains[0], 0.9)]
+    counts = _check_points(points, 1.0, 1.0)
+    assert counts == [60, 60, 0, 180, 60, 0, 60]
+    # a point without feasible rows does not widen its batch
+    assert spy.shapes == [(60, 2), (60, 3), (180, 5), (60, 4), (60, 2)]
+
+
+def test_rates_per_trial_with_no_feasible_row(monkeypatch):
+    spy = _BatchSpy(monkeypatch)
+    rng = np.random.default_rng(22)
+    points = [(_random_gains(num, 50, rng) * 1e-4, 0.3) for num in (1, 4)]
+    assert _check_points(points, 1.0, 1.0) == [0, 0]
+    assert spy.shapes == [(0, 1)]
 
 
 def test_rates_per_trial_raise_when_tolerance_too_coarse():
@@ -156,7 +221,7 @@ def test_rates_per_trial_raise_when_tolerance_too_coarse():
     with pytest.raises(ValueError, match="tolerance too coarse") as scalar:
         _scalar_rates(gains, eaves, eps, p, tol)
     with pytest.raises(ValueError, match="tolerance too coarse") as rows:
-        _maxmin_rates_per_trial(gains, eaves, eps, p, tol)
+        list(_maxmin_rates_per_trial([(gains, _stringency(eaves, eps))], p, tol))
     assert str(rows.value) == str(scalar.value)
 
 
@@ -166,5 +231,5 @@ def test_rates_per_trial_validate_like_the_scalar_solvers():
         with pytest.raises(ValueError) as scalar:
             _scalar_rates(gains, 1.0, eps, p, tol)
         with pytest.raises(ValueError) as rows:
-            _maxmin_rates_per_trial(gains, 1.0, eps, p, tol)
+            list(_maxmin_rates_per_trial([(gains, _stringency(1.0, eps))], p, tol))
         assert str(rows.value) == str(scalar.value)
