@@ -49,6 +49,17 @@ CSV_HEADER = ("x", "scheme", "metric", "value", "stderr", "feasible_frac", "tria
 # keys that are whole numbers by nature
 _INT_KEYS = {"k"}
 
+# the fixed keys each kind reads; any other key is a mistake
+_CHANNEL_KEYS = {"k", "gain_base_db", "gain_slope_db", "gamma_e_db"}
+_GEOMETRY_KEYS = {"d_user", "d_eave", "alpha", "noise_dbm", "eaves_noise_dbm"}
+_FIXED_KEYS = {
+    "power_vs_Q": _CHANNEL_KEYS | {"eps"},
+    "rate_vs_P": _CHANNEL_KEYS | {"eps", "tol"},
+    "beta_vs_eps": _CHANNEL_KEYS | {"p_dbm"},
+    "avg_rate_vs_eps": _GEOMETRY_KEYS | {"k", "p_dbm", "tol"},
+    "gain_vs_K": _GEOMETRY_KEYS | {"eps", "p_dbm", "tol"},
+}
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -87,6 +98,10 @@ class SweepSpec:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        allowed = _FIXED_KEYS[self.kind]
+        for key in self.fixed:
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SweepSpec":
@@ -282,7 +297,9 @@ def _solve_batch(batch, p, tol):
         if len(rows):
             stacked[start : start + len(rows), width - rows.shape[1] :] = rows
             start += len(rows)
-    solved = np.stack((_bisect_rows(stacked, phi, p, tol), *_tdma_maxmin_rows(stacked, phi, p)))
+    rate_opt, rate_eq = _tdma_maxmin_rows(stacked, phi, p)
+    # optimal-time TDMA never beats superposition: its rate seeds the bisection
+    solved = np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
     for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
         rates = np.zeros((3, len(feasible)))
         rates[:, feasible] = block

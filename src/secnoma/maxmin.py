@@ -14,10 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion, _recursion_rows
+from .power_min import (
+    InfeasibleReason,
+    InfeasibleVerdict,
+    _recursion,
+    _recursion_rows,
+    _recursion_slope,
+    _recursion_slope_rows,
+)
 from .secrecy import PowerAllocation, _stringency
 
 DEFAULT_TOL = 1e-10
+# an infinite bracket would never narrow
+_BRACKET_OVERFLOW = "the weakest gain times the power budget overflows"
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,13 @@ def solve_maxmin_bisection(
     tol: float = DEFAULT_TOL,
 ) -> MaxMinSolution | InfeasibleVerdict:
     """Bisect the common rate floor; accept a floor when the minimum-power
-    solution exists and fits the budget, and keep the last accepted pair.
+    solution exists and fits the budget, and return the last accepted floor
+    with its allocation.
 
     The bracket starts at [0, log2(1 + gamma_1 * P)]: the weakest user could
-    never exceed that rate even alone, unprotected.
+    never exceed that rate even alone, unprotected. Midpoints outside a
+    certified window around a Newton estimate of the switch are decided
+    without a solve (see `_window`); the result is the plain bisection's.
     """
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
@@ -70,20 +82,93 @@ def solve_maxmin_bisection(
     phi = _stringency(channel.eaves_avg_gain, eps)
     lo = 0.0
     hi = math.log2(1.0 + gains[0] * power_budget_mw)
-    best = None
+    if hi == math.inf:
+        raise OverflowError(_BRACKET_OVERFLOW)
+    # the optimal-time TDMA rate (tdma_maxmin's) is a feasible floor
+    slots = [_slot_rate_full(g, phi, power_budget_mw) for g in gains]
+    floor = 1.0 / sum(1.0 / c for c in slots) if min(slots) > 0.0 else 0.0
+    lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
     iterations = 0
     while hi - lo >= tol:
         iterations += 1
         q = 0.5 * (lo + hi)
-        powers, _, _ = _recursion(gains, phi, 2.0 ** q)
-        if powers is not None and sum(powers) <= power_budget_mw:
+        if q <= lo_e or (q < hi_e and _fits(gains, phi, power_budget_mw, q)):
             lo = q
-            best = (q, powers)
         else:
             hi = q
-    if best is None:
+    if lo == 0.0:
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
-    return MaxMinSolution(best[0], PowerAllocation(tuple(best[1])), iterations)
+    powers, _, _ = _recursion(gains, phi, 2.0 ** lo)
+    return MaxMinSolution(lo, PowerAllocation(tuple(powers)), iterations)
+
+
+def _slot_rate_full(gain, phi, p):
+    # per-slot confidential rate of one TDMA user before time scaling, clipped at zero
+    return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
+
+
+# The bisection's result depends only on where its float feasibility test
+# switches from accept to reject. A Newton estimate r of that switch, checked
+# by two exact tests at r -/+ _WINDOW, lets every midpoint outside that
+# window be decided by a compare: the test is taken as monotone at this
+# distance from its switch. _WINDOW is absolute in q = log2(rho), which has no
+# units, and dwarfs the seed's own error (about 1e-14).
+_WINDOW = 1e-11
+_NEWTON_EVALS = 24
+_NEWTON_STOP = 1e-13
+_LN2 = math.log(2.0)
+
+
+def _fits(gains, phi, power_budget_mw, q):
+    """The bisection's exact test: the floor q has a minimum-power solution
+    that fits the budget."""
+    powers, _, _ = _recursion(gains, phi, 2.0 ** q)
+    return powers is not None and sum(powers) <= power_budget_mw
+
+
+def _seed(gains, phi, power_budget_mw, hi, q):
+    """Newton estimate of the floor at which the budget test switches: the
+    root of 1/T(q) - 1/P, with T the recursion's total power, from the
+    feasible floor q in (0, hi). nan when it does not settle inside (0, hi).
+
+    A row stops once its step is below _NEWTON_STOP * max(1, q), or at an
+    iterate that reads infeasible after a feasible one (rounding at the
+    root); an infeasible start is halved.
+    """
+    feasible = False
+    for _ in range(_NEWTON_EVALS):
+        if not 0.0 < q < hi:
+            break
+        rho = 2.0 ** q
+        found = _recursion_slope(gains, phi, rho)
+        if found is None or found[0] > power_budget_mw:
+            if feasible:
+                return q
+            q *= 0.5
+            continue
+        feasible = True
+        total, slope = found
+        step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
+        q += step
+        if step < _NEWTON_STOP * max(1.0, q):
+            return q
+    return math.nan
+
+
+def _window(gains, phi, power_budget_mw, hi, floor):
+    """(lo_e, hi_e) around the seed, certified by the exact test accepting
+    lo_e and rejecting hi_e inside (0, hi); (-inf, inf) otherwise, so that
+    no midpoint is decided without a solve."""
+    r = _seed(gains, phi, power_budget_mw, hi, floor)
+    lo_e, hi_e = r - _WINDOW, r + _WINDOW
+    if (
+        0.0 < lo_e
+        and hi_e < hi
+        and _fits(gains, phi, power_budget_mw, lo_e)
+        and not _fits(gains, phi, power_budget_mw, hi_e)
+    ):
+        return lo_e, hi_e
+    return -math.inf, math.inf
 
 
 # Element-wise libm calls: numpy's SIMD power and log2 can round differently
@@ -106,17 +191,72 @@ def _sum_rows(a):
     return total
 
 
-def _bisect_rows(gains, phi, power_budget_mw, tol):
+def _fits_rows(gains, phi, pad, power_budget_mw, q):
+    """`_fits` on every row, with one floor per row in q."""
+    powers, ok = _recursion_rows(gains, phi, _pow2_each(q), pad)
+    with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
+        return ok & (_sum_rows(powers) <= power_budget_mw)
+
+
+def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
+    """`_seed` on every row, with numpy's exp2 for 2**q: the seed only
+    places the window, so it need not round like the exact test."""
+    seed = np.full(len(q), np.nan)
+    rows = np.arange(len(q))
+    feasible = np.zeros(len(q), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_EVALS):
+            keep = (0.0 < q) & (q < hi)
+            if not keep.all():
+                rows, gains, phi, pad, hi, q, feasible = (
+                    a[keep] for a in (rows, gains, phi, pad, hi, q, feasible)
+                )
+            if not rows.size:
+                break
+            rho = np.exp2(q)
+            total, slope, ok = _recursion_slope_rows(gains, phi, rho, pad)
+            fits = ok & (total <= power_budget_mw)
+            step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
+            ahead = q + step
+            settled = np.where(fits, step < _NEWTON_STOP * np.maximum(1.0, ahead), feasible)
+            seed[rows[settled]] = np.where(fits, ahead, q)[settled]
+            q = np.where(settled, 0.0, np.where(fits, ahead, 0.5 * q))
+            feasible |= fits
+    return seed
+
+
+def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
+    """`_window` on every row: the two certifying tests of all seeded rows
+    run as one exact evaluation."""
+    r = _seed_rows(gains, phi, pad, power_budget_mw, hi, floor)
+    lo_e, hi_e = r - _WINDOW, r + _WINDOW
+    seeded = np.flatnonzero((0.0 < lo_e) & (hi_e < hi))
+    fits = _fits_rows(
+        np.concatenate((gains[seeded], gains[seeded])),
+        np.concatenate((phi[seeded], phi[seeded])),
+        np.concatenate((pad[seeded], pad[seeded])),
+        power_budget_mw,
+        np.concatenate((lo_e[seeded], hi_e[seeded])),
+    )
+    certified = np.zeros(len(r), dtype=bool)
+    certified[seeded] = fits[: seeded.size] & ~fits[seeded.size :]
+    return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
+
+
+def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     """`solve_maxmin_bisection` on every row of an (M, K) gain matrix in
-    lockstep, with one stringency per row in phi; every row's weakest gain
-    must clear its phi. Returns the M certified rates, equal bit for bit to
-    the scalar solver's.
+    lockstep, with one stringency per row in phi and one feasible floor per
+    row in floor (the optimal-time TDMA rate); every row's weakest gain must
+    clear its phi. Returns the M certified rates, equal bit for bit to the
+    scalar solver's.
 
     A row with fewer than K users holds its gains, ascending, in its last
-    columns and +inf in the leading ones. Each row keeps its own bracket and
-    leaves the active set once the bracket is narrower than tol. A floor is
-    accepted by raising lo to it, so lo is the last accepted floor, or 0.0
-    if there was none.
+    columns and +inf in the leading ones. Each row keeps its own bracket. A
+    floor is accepted by raising lo to it, so lo is the last accepted floor,
+    or 0.0 if there was none. Every row first replays its midpoints by
+    compares alone until one falls inside its window; only such rows then
+    take an exact step, and a row leaves once its bracket is narrower than
+    tol.
     """
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
@@ -124,24 +264,34 @@ def _bisect_rows(gains, phi, power_budget_mw, tol):
         raise ValueError("tolerance must be positive")
     pad = np.isinf(gains[:, :-1])
     pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
+    with np.errstate(over="ignore"):
+        hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
+    if (hi == np.inf).any():
+        raise OverflowError(_BRACKET_OVERFLOW)
+    lo_e, hi_e = _window_rows(gains, phi, pad, power_budget_mw, hi, floor)
     rate = np.empty(len(gains))
     active = np.arange(len(gains))
     lo = np.zeros(len(gains))
-    hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
-    with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
-        while active.size:
+    while True:
+        while True:
             live = hi - lo >= tol
-            if not live.all():
-                done = ~live
-                rate[active[done]] = lo[done]
-                active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
-                lo, hi = lo[live], hi[live]
-                continue
             q = 0.5 * (lo + hi)
-            powers, ok = _recursion_rows(gains, phi, _pow2_each(q), pad)
-            accept = ok & (_sum_rows(powers) <= power_budget_mw)
-            lo = np.where(accept, q, lo)
-            hi = np.where(accept, hi, q)
+            below = live & (q <= lo_e)
+            above = live & (q >= hi_e)
+            if not (below.any() or above.any()):
+                break
+            np.copyto(lo, q, where=below)
+            np.copyto(hi, q, where=above)
+        if not live.all():
+            done = ~live
+            rate[active[done]] = lo[done]
+            active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
+            lo, hi, lo_e, hi_e, q = lo[live], hi[live], lo_e[live], hi_e[live], q[live]
+        if not active.size:
+            break
+        accept = _fits_rows(gains, phi, pad, power_budget_mw, q)
+        lo = np.where(accept, q, lo)
+        hi = np.where(accept, hi, q)
     if not (rate > 0.0).all():
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
     return rate

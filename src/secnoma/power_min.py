@@ -114,6 +114,62 @@ def _recursion_rows(gains, phi, rho, pad=None):
     return powers, ok
 
 
+# Forward-mode derivatives of the recursion in rho: each power's tangent is
+# carried beside it through the same steps. They steer the max-min Newton
+# seed only, never a feasibility verdict.
+def _recursion_slope(gains, phi, rho):
+    """Total power of `_recursion` and its derivative in rho, or None where
+    `_recursion` fails."""
+    num = len(gains)
+    rho_m1 = rho - 1.0
+    den = gains[num - 1] - phi * rho
+    if den <= DENOM_TOL:
+        return None
+    suffix = rho_m1 / den
+    slope = (gains[num - 1] - phi) / den / den
+    for k in range(num - 1, 0, -1):
+        g = gains[k - 1]
+        den = g * (1.0 - phi * rho_m1 * suffix) - phi * rho
+        if den <= DENOM_TOL:
+            return None
+        d_den = -g * phi * (suffix + rho_m1 * slope) - phi
+        own, cross = 1.0 + phi * suffix, 1.0 + g * suffix
+        power = rho_m1 * own * cross / den
+        slope += (own * cross + rho_m1 * slope * (phi * cross + g * own) - power * d_den) / den
+        suffix += power
+    return suffix, slope
+
+
+def _recursion_slope_rows(gains, phi, rho, pad):
+    """`_recursion_slope` on every row of an (M, K) gain matrix, with pad as
+    in `_recursion_rows`. Returns (total, slope, ok); totals and slopes of
+    rows where ok is False are meaningless."""
+    num = gains.shape[1]
+    padded = pad.shape[1]
+    rho_m1 = rho - 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = gains[:, num - 1] - phi * rho
+        ok = den > DENOM_TOL
+        suffix = rho_m1 / den
+        slope = (gains[:, num - 1] - phi) / den / den
+        for k in range(num - 1, 0, -1):
+            g = gains[:, k - 1]
+            den = g * (1.0 - phi * rho_m1 * suffix) - phi * rho
+            d_den = -g * phi * (suffix + rho_m1 * slope) - phi
+            own, cross = 1.0 + phi * suffix, 1.0 + g * suffix
+            power = rho_m1 * own * cross / den
+            d_power = (own * cross + rho_m1 * slope * (phi * cross + g * own) - power * d_den) / den
+            if k - 1 < padded:
+                ok &= (den > DENOM_TOL) | pad[:, k - 1]
+                power[pad[:, k - 1]] = 0.0
+                d_power[pad[:, k - 1]] = 0.0
+            else:
+                ok &= den > DENOM_TOL
+            suffix = suffix + power
+            slope = slope + d_power
+    return suffix, slope, ok
+
+
 def solve_min_power(
     channel: ChannelRealization, req: SecrecyRequirement
 ) -> PowerMinSolution | InfeasibleVerdict:

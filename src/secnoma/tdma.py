@@ -14,6 +14,7 @@ from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
     _log2_each,
+    _slot_rate_full,
     _sum_rows,
     check_positive_rate_feasibility,
     solve_maxmin_bisection,
@@ -53,11 +54,6 @@ class TdmaMinPower:
     per_user_mw: tuple[float, ...]
     avg_power_mw: float
     peak_power_mw: float
-
-
-def _slot_rate_full(gain, phi, p):
-    # per-slot confidential rate before time scaling, clipped at zero
-    return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
 
 
 def tdma_user_rate(gain: float, eaves_avg_gain: float, eps: float, p_mw: float, t: float) -> float:

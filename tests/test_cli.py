@@ -2,16 +2,19 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import secnoma.cli
-from secnoma import ChannelRealization, PowerAllocation, secrecy_outage_closed_form
+from secnoma import ChannelRealization, PowerAllocation, SweepSpec, secrecy_outage_closed_form
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
 
 # dB encodings of the (5, 10) worked instance with unit eavesdropper gain
 GAINS_DB = "6.989700043360187,10"
 EPS = "0.36787944117144233"
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -111,6 +114,7 @@ def test_seed_outside_range_is_one_line_error(seed):
     [
         ("min-power", "--gains-db", "7,10", "--eaves-db", "0", "--q", "2000", "--eps", "0.3"),
         ("max-min-rate", "--gains-db", "7,10", "--eaves-db", "0", "--p-dbm", "4000", "--eps", "0.3"),
+        ("max-min-rate", "--gains-db", "2000,2010", "--eaves-db", "0", "--p-dbm", "1100", "--eps", "0.3"),
     ],
 )
 def test_overflowing_input_is_one_line_error(args):
@@ -249,6 +253,28 @@ def test_sweep_missing_fixed_key_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: sweep kind 'power_vs_Q' needs the fixed key 'gamma_e_db'\n"
     assert not out.exists()
+
+
+def test_sweep_unknown_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG + "gain_slpoe_db = 2\n")
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "sweep config error: unknown key 'gain_slpoe_db' "
+        "(allowed: eps, gain_base_db, gain_slope_db, gamma_e_db, k)\n"
+    )
+    assert not out.exists()
+
+
+SHIPPED_SPECS = [path for folder in ("scripts", "perfbench") for path in sorted((_ROOT / folder / "specs").glob("*.spec"))]
+
+
+@pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda path: f"{path.parent.parent.name}/{path.stem}")
+def test_shipped_specs_parse(path):
+    mapping = secnoma.cli._read_config(path)
+    mapping.pop("out")
+    SweepSpec.from_mapping(mapping)
 
 
 def test_geometry_path_is_seeded(tmp_path):
