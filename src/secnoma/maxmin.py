@@ -112,9 +112,10 @@ def _slot_rate_full(gain, phi, p):
 # by two exact tests at r -/+ _WINDOW, lets every midpoint outside that
 # window be decided by a compare: the test is taken as monotone at this
 # distance from its switch. _WINDOW is absolute in q = log2(rho), which has no
-# units, and dwarfs the seed's own error (about 1e-14).
+# units, and dwarfs the seed's own distance from the switch (at most about
+# 2e-15 on random instances with K = 1..8 and gains over twelve decades).
 _WINDOW = 1e-11
-_NEWTON_EVALS = 24
+_NEWTON_EVALS = 16
 _NEWTON_STOP = 1e-13
 _LN2 = math.log(2.0)
 
@@ -226,20 +227,15 @@ def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
 
 
 def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
-    """`_window` on every row: the two certifying tests of all seeded rows
-    run as one exact evaluation."""
+    """`_window` on every row."""
     r = _seed_rows(gains, phi, pad, power_budget_mw, hi, floor)
     lo_e, hi_e = r - _WINDOW, r + _WINDOW
-    seeded = np.flatnonzero((0.0 < lo_e) & (hi_e < hi))
-    fits = _fits_rows(
-        np.concatenate((gains[seeded], gains[seeded])),
-        np.concatenate((phi[seeded], phi[seeded])),
-        np.concatenate((pad[seeded], pad[seeded])),
-        power_budget_mw,
-        np.concatenate((lo_e[seeded], hi_e[seeded])),
+    certified = (0.0 < lo_e) & (hi_e < hi)
+    rows = np.flatnonzero(certified)
+    gains, phi, pad = gains[rows], phi[rows], pad[rows]
+    certified[rows] = _fits_rows(gains, phi, pad, power_budget_mw, lo_e[rows]) & ~_fits_rows(
+        gains, phi, pad, power_budget_mw, hi_e[rows]
     )
-    certified = np.zeros(len(r), dtype=bool)
-    certified[seeded] = fits[: seeded.size] & ~fits[seeded.size :]
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 

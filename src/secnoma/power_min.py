@@ -165,8 +165,8 @@ def _recursion_slope_rows(gains, phi, rho, pad):
                 d_power[pad[:, k - 1]] = 0.0
             else:
                 ok &= den > DENOM_TOL
-            suffix = suffix + power
-            slope = slope + d_power
+            suffix += power
+            slope += d_power
     return suffix, slope, ok
 
 
