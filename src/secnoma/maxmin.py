@@ -233,9 +233,8 @@ def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     certified = (0.0 < lo_e) & (hi_e < hi)
     rows = np.flatnonzero(certified)
     gains, phi, pad = gains[rows], phi[rows], pad[rows]
-    certified[rows] = _fits_rows(gains, phi, pad, power_budget_mw, lo_e[rows]) & ~_fits_rows(
-        gains, phi, pad, power_budget_mw, hi_e[rows]
-    )
+    accepts_lo = _fits_rows(gains, phi, pad, power_budget_mw, lo_e[rows])
+    certified[rows] = accepts_lo & ~_fits_rows(gains, phi, pad, power_budget_mw, hi_e[rows])
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 
@@ -269,6 +268,7 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     active = np.arange(len(gains))
     lo = np.zeros(len(gains))
     while True:
+        # decide by compares every midpoint outside its row's window
         while True:
             live = hi - lo >= tol
             q = 0.5 * (lo + hi)
@@ -285,6 +285,7 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
             lo, hi, lo_e, hi_e, q = lo[live], hi[live], lo_e[live], hi_e[live], q[live]
         if not active.size:
             break
+        # every midpoint left lies inside its window: one exact step
         accept = _fits_rows(gains, phi, pad, power_budget_mw, q)
         lo = np.where(accept, q, lo)
         hi = np.where(accept, hi, q)

@@ -103,12 +103,13 @@ def _tdma_maxmin_rows(gains, phi, p_mw):
     infinite full rate, so it takes zero weight and is not counted."""
     if not (p_mw > 0 and math.isfinite(p_mw)):
         raise ValueError("power budget must be positive and finite")
-    full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi[:, None]))
-    full = np.where(full > 0.0, full, 0.0)
-    weakest = full.min(axis=1)
-    with np.errstate(divide="ignore"):
+    # a gain times the budget may overflow: the bisection's bracket reports it
+    with np.errstate(over="ignore", divide="ignore"):
+        full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi[:, None]))
+        full = np.where(full > 0.0, full, 0.0)
+        weakest = full.min(axis=1)
         weights = 1.0 / full
-    rate_opt = np.where(weakest > 0.0, 1.0 / _sum_rows(weights), 0.0)
+        rate_opt = np.where(weakest > 0.0, 1.0 / _sum_rows(weights), 0.0)
     return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
 
 

@@ -123,6 +123,18 @@ def test_overflowing_input_is_one_line_error(args):
     assert err == "error: an input is too large: the arithmetic overflows\n"
 
 
+def test_overflowing_sweep_is_one_line_error(tmp_path):
+    # gains near 1e4 times a budget near 1e307: the bisection's bracket overflows
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "kind = avg_rate_vs_eps\naxis = eps\naxis_start = 0.1\naxis_stop = 0.3\naxis_steps = 2\n"
+        "k = 2\nd_user = 5\nd_eave = 80\np_dbm = 3070\ntrials = 20\nseed = 1\n"
+    )
+    rc, out, err = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: an input is too large: the arithmetic overflows\n"
+
+
 def test_max_min_rate_worked_instance():
     rc, out, _ = run_cli(
         "max-min-rate", "--gains-db", GAINS_DB, "--eaves-db", "0",
