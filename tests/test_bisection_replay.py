@@ -97,7 +97,8 @@ def test_replay_equals_plain_bisection(instance):
 
 
 def _standard_rows(seed=7, trials=60):
-    """Sampled rows at K = 1..8 over two decades of distance spread."""
+    """Sampled gain rows at K = 1..8, one geometry per K, and the
+    eavesdropper gain of the last geometry (all share its distance)."""
     rows = []
     for num in range(1, 9):
         geometry = NetworkGeometry(tuple(40.0 + 6.0 * k for k in range(num)), 80.0, 3.5, 1e-7, 2e-7)
