@@ -5,22 +5,28 @@
         [--seed 11] [--pairs 10] --out BENCH.json
 
 Each pair runs `perfbench/run.py` once in each checkout, the parent first in
-even pairs and the change first in odd ones. Every run's record line and
-result line are appended to the JSON file at --out (created if missing), and
-the summary of each (workload, seed) is rebuilt from all its pairs: per
-end-to-end metric, the median and quartiles of each side and the number of
-pairs the change won (ties count for neither).
+even pairs and the change first in odd ones. After each run, the same side's
+CLI cold start is timed: the median wall time of five fresh
+`python -m secnoma --help` processes on that checkout's sources. Every run's
+record line, result line and cold start are appended to the JSON file at
+--out (created if missing), and the summary of each (workload, seed) is
+rebuilt from all its pairs: per end-to-end metric and for the cold start, the
+median and quartiles of each side and the number of pairs the change won
+(ties count for neither).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COLD_STARTS = 5
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -33,9 +39,34 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {"record": json.loads(record.removeprefix("run record: ")), "result": json.loads(lines[-1])}
 
 
+def help_wall_s(checkout: Path) -> float:
+    """Median wall time of fresh `python -m secnoma --help` processes that
+    import the package from the checkout's `src`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    times = []
+    for _ in range(COLD_STARTS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "secnoma", "--help"], cwd=checkout, env=env,
+                       capture_output=True, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"q1": q1, "median": q2, "q3": q3}
+
+
+def compare(parent: list[float], change: list[float], direction: str) -> dict:
+    sign = 1.0 if direction == "higher" else -1.0
+    return {
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "median_ratio": statistics.median(change) / statistics.median(parent),
+    }
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -43,14 +74,10 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     for name, direction in better.items():
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
-        sign = 1.0 if direction == "higher" else -1.0
-        summary[name] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "pairs": len(pairs),
-            "median_ratio": statistics.median(change) / statistics.median(parent),
-        }
+        summary[name] = compare(parent, change, direction)
+    summary["help_wall_s"] = compare(
+        [p["parent"]["help_wall_s"] for p in pairs], [p["change"]["help_wall_s"] for p in pairs], "lower"
+    )
     summary["failed"] = {
         side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
     }
@@ -77,11 +104,14 @@ def main(argv=None) -> int:
         pair = {"first": order[0]}
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload, args.seed)
+            pair[side]["help_wall_s"] = help_wall_s(getattr(args, side))
         pairs.append(pair)
         data["summary"][key] = summarise(pairs, better)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
-        norm = {side: pair[side]["result"]["metrics"]["norm_ops_per_s"]["value"] for side in order}
-        print(f"{key} pair {len(pairs)}: " + " ".join(f"{s}={v:.6g}" for s, v in norm.items()), flush=True)
+        print(f"{key} pair {len(pairs)}: " + " ".join(
+            f"{s}={pair[s]['result']['metrics']['norm_ops_per_s']['value']:.6g}"
+            f" (--help {pair[s]['help_wall_s'] * 1e3:.0f} ms)" for s in order
+        ), flush=True)
     return 0
 
 

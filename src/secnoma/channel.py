@@ -9,16 +9,24 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import lazy_module
+
+np = lazy_module("numpy")
 
 
+# A Python number takes the scalar branch before numpy is asked for its
+# dimension, so the scalar designs never load numpy.
 def db_to_linear(x_db):
     """10^(x/10). Works on scalars and arrays."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0) if np.ndim(x_db) else 10.0 ** (float(x_db) / 10.0)
+    if isinstance(x_db, numbers.Real) or not np.ndim(x_db):
+        return 10.0 ** (float(x_db) / 10.0)
+    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def linear_to_db(x):
-    return 10.0 * np.log10(x) if np.ndim(x) else 10.0 * math.log10(float(x))
+    if isinstance(x, numbers.Real) or not np.ndim(x):
+        return 10.0 * math.log10(float(x))
+    return 10.0 * np.log10(x)
 
 
 def dbm_to_mw(x_dbm):
@@ -116,8 +124,8 @@ _SEED_RANGE = "fading seeds must be integers in [0, 2**64)"
 _POOL_HASH = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # SeedSequence INIT_B, MULT_B
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
@@ -190,6 +198,7 @@ def _trial_uniforms(seeds, num):
     `Generator(Philox(SeedSequence(seeds[i])))`; each trial's draws nest, so
     a column prefix is the draw at a smaller count."""
     key = _philox_keys(seeds)
+    mult, weyl = (np.array(c, dtype=np.uint64).reshape(2, 1, 1) for c in (_PHILOX_M, _PHILOX_W))
     blocks = -(-num // 4)
     # the four counter words as (even, odd) = ((c0, c2), (c1, c3)); numpy
     # increments the counter before each block, so block b runs on b + 1
@@ -198,8 +207,8 @@ def _trial_uniforms(seeds, num):
     odd = np.zeros_like(even)
     for r in range(_PHILOX_ROUNDS):
         if r:
-            key = key + _PHILOX_W
-        high, low = _mulhilo(_PHILOX_M, even)
+            key = key + weyl
+        high, low = _mulhilo(mult, even)
         even, odd = high[::-1] ^ odd ^ key, low[::-1]
     # each block yields c0, c1, c2, c3 in turn
     words = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(seeds.size, 4 * blocks)

@@ -11,8 +11,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .channel import (
     ChannelRealization,
     NetworkGeometry,
@@ -33,6 +32,8 @@ from .maxmin import (
 from .power_min import PowerMinSolution, solve_min_power
 from .secrecy import SecrecyRequirement, _stringency
 from .tdma import TdmaMinPower, _tdma_maxmin_rows, tdma_maxmin, tdma_min_power
+
+np = lazy_module("numpy")
 
 SWEEP_KINDS = ("power_vs_Q", "rate_vs_P", "beta_vs_eps", "avg_rate_vs_eps", "gain_vs_K")
 
@@ -75,7 +76,21 @@ class SweepAxis:
             raise ValueError("axis endpoints must be finite")
 
     def values(self):
-        return np.linspace(self.start, self.stop, self.steps)
+        """The axis points as Python floats, bit for bit
+        `np.linspace(start, stop, steps)` by its own arithmetic."""
+        delta = self.stop - self.start
+        if self.steps == 1:
+            # linspace scales by delta even here; it shows only on a signed zero
+            return [0.0 * delta + self.start]
+        div = self.steps - 1
+        step = delta / div
+        if step == 0:
+            # a step that underflows: linspace scales the fraction instead
+            points = [i / div * delta + self.start for i in range(self.steps)]
+        else:
+            points = [i * step + self.start for i in range(self.steps)]
+        points[-1] = self.stop
+        return points
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .power_min import (
     InfeasibleReason,
@@ -23,6 +22,8 @@ from .power_min import (
     _recursion_slope_rows,
 )
 from .secrecy import PowerAllocation, _stringency
+
+np = lazy_module("numpy")
 
 DEFAULT_TOL = 1e-10
 # an infinite bracket would never narrow

@@ -11,10 +11,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, max_codeword_rate
+
+np = lazy_module("numpy")
 
 # denominators this close to zero mean the required power diverges
 DENOM_TOL = 1e-12

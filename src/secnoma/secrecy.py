@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .channel import ChannelRealization, _exp_draws
+
+np = lazy_module("numpy")
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def _suffix_power(alloc: PowerAllocation, k: int) -> float:
 def optimal_decoding_order(channel: ChannelRealization) -> tuple[int, ...]:
     """Decoding order that maximizes every message's rate simultaneously:
     ascending normalized gain, ties broken by original index (stable)."""
-    order = np.argsort(np.asarray(channel.user_gains), kind="stable")
-    return tuple(int(i) + 1 for i in order)
+    gains = channel.user_gains
+    return tuple(i + 1 for i in sorted(range(len(gains)), key=gains.__getitem__))
 
 
 def sinr_own_message(channel: ChannelRealization, alloc: PowerAllocation, k: int) -> float:

@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
+    _BRACKET_OVERFLOW,
     _log2_each,
     _slot_rate_full,
     _sum_rows,
@@ -22,6 +22,8 @@ from .maxmin import (
 )
 from .power_min import DENOM_TOL, InfeasibleReason, InfeasibleVerdict
 from .secrecy import _stringency
+
+np = lazy_module("numpy")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,9 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     linear and increasing in its own fraction.
 
     If any user cannot sustain a positive per-slot rate the common rate is 0;
-    equal slots are reported in that case.
+    equal slots are reported in that case. If even the weakest user's gain
+    times the budget overflows, every slot rate is infinite and an
+    OverflowError is raised, as the max-min bisection does.
     """
     if mode not in ("equal_time", "optimal_time"):
         raise ValueError("mode must be 'equal_time' or 'optimal_time'")
@@ -85,6 +89,8 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
     full = [_slot_rate_full(g, phi, p_mw) for g in channel.user_gains]
+    if min(full) == math.inf:
+        raise OverflowError(_BRACKET_OVERFLOW)
     equal = TimeAllocation(tuple(1.0 / num for _ in range(num)))
     if mode == "equal_time":
         return TdmaMaxMin(min(full) / num, equal)

@@ -35,6 +35,18 @@ def test_db_conversions_vectorized():
     assert np.allclose(db_to_linear(arr), [1.0, 10.0, 100.0])
 
 
+@pytest.mark.parametrize("convert", [db_to_linear, linear_to_db, dbm_to_mw, mw_to_dbm])
+def test_db_conversions_keep_the_input_shape(convert):
+    # scalars of any kind come back as Python floats, arrays as arrays
+    for scalar in (2.5, 3, np.float64(2.5), np.float32(2.5), np.int64(3), np.array(2.5)):
+        assert type(convert(scalar)) is float
+        assert convert(scalar) == convert(float(scalar))
+    for arr in (np.array([2.5, 3.0]), [2.5, 3.0], np.array([[2.5], [3.0]])):
+        out = convert(arr)
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(arr)
+        assert out.ravel().tolist() == pytest.approx([convert(2.5), convert(3.0)], rel=1e-15)
+
+
 def test_geometry_validation():
     with pytest.raises(ValueError):
         NetworkGeometry((), 80.0, 4.0, 1e-7, 1e-7)

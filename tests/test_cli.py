@@ -311,3 +311,63 @@ def test_min_power_matches_oracle_after_db_round_trip():
     payload = json.loads(out)
     total_dbm = payload["total_power_dbm"]
     assert total_dbm == pytest.approx(10.0 * math.log10(17.0 / 19.0), abs=1e-8)
+
+
+
+# Each case runs in a fresh interpreter, which then reports its exit status
+# and the numpy submodules it loaded. The package's lazy `numpy` placeholder
+# is not an import of numpy; numpy's own `__init__` loads `numpy._core`.
+_RUN_CLI = """\
+import runpy
+try:
+    runpy.run_module("secnoma", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+"""
+_REPORT = """\
+import json, sys
+loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+print(json.dumps([globals().get("status", 0), loaded]))
+"""
+_SPECS_DIR = _ROOT / "scripts" / "specs"
+_FIXED_SPECS = [
+    path for path in sorted(_SPECS_DIR.glob("*.spec"))
+    if secnoma.cli._read_config(path)["kind"] in ("power_vs_Q", "rate_vs_P", "beta_vs_eps")
+]
+_SCALAR_CASES = {
+    "import": ("import secnoma\n",),
+    "help": (_RUN_CLI, "--help"),
+    "min-power": (_RUN_CLI, "min-power", "--gains-db", GAINS_DB, "--eaves-db", "0", "--q", "1", "--eps", EPS),
+    "max-min-rate": (_RUN_CLI, "max-min-rate", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "20", "--eps", EPS),
+    "compare-oma": (_RUN_CLI, "compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "0", "--eps", EPS),
+    **{f"sweep-{path.stem}": (_RUN_CLI, "sweep", "--config", str(path)) for path in _FIXED_SPECS},
+}
+
+
+def numpy_modules_after(workdir, code, *args):
+    """numpy's submodules loaded once `code` has run with `args` as argv, in a
+    fresh interpreter in workdir (a sweep writes its CSV there); the run must
+    succeed."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _REPORT, *args], cwd=workdir, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status == EXIT_OK, proc.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("case", _SCALAR_CASES)
+def test_scalar_calls_never_import_numpy(case, tmp_path):
+    assert numpy_modules_after(tmp_path, *_SCALAR_CASES[case]) == []
+
+
+def test_array_calls_import_numpy(tmp_path):
+    # the positive control: the same probe sees numpy where array code runs
+    geometry = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
+                "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
+    assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *geometry)
+    fading = ("sweep", "--config", str(_SPECS_DIR / "avg_rate_vs_eps.spec"))
+    assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *fading)
+    assert (tmp_path / "avg_rate_vs_eps.csv").exists()
+    assert len(_FIXED_SPECS) == 4

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secnoma import (
     AggregateResult,
@@ -41,6 +43,34 @@ def test_spec_from_mapping_round_trip():
     )
     assert isinstance(spec.fixed["k"], int)
     assert list(spec.axis.values()) == pytest.approx([0.1, 0.2, 0.3, 0.4])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# tiny magnitudes; a few subnormal ulps apart, the step underflows to zero
+# and linspace scales the fraction i/div instead
+_TINY = st.one_of(
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-64, 64).map(lambda ulps: ulps * 5e-324),
+)
+_ENDPOINTS = st.one_of(
+    st.tuples(_FINITE, _FINITE),
+    st.tuples(_TINY, _TINY),
+    _FINITE.map(lambda x: (x, x)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 0.0)),  # descending
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(endpoints=_ENDPOINTS, steps=st.integers(1, 300))
+@example(endpoints=(-0.0, 1.0), steps=1)  # one step still adds 0.0 * delta
+@example(endpoints=(0.0, 2e-323), steps=7)
+def test_axis_values_are_linspace_bit_for_bit(endpoints, steps):
+    start, stop = endpoints
+    values = SweepAxis("q", start, stop, steps).values()
+    assert all(type(v) is float for v in values)
+    with np.errstate(over="ignore", invalid="ignore"):  # a delta may overflow to inf
+        expected = np.linspace(start, stop, steps)
+    assert np.array(values).tobytes() == expected.tobytes()
 
 
 def test_spec_validation():

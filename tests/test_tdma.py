@@ -17,7 +17,7 @@ from secnoma import (
     tdma_min_power,
     tdma_user_rate,
 )
-from secnoma.maxmin import DEFAULT_TOL
+from secnoma.maxmin import _BRACKET_OVERFLOW, DEFAULT_TOL
 
 EPS_E1 = math.exp(-1.0)
 
@@ -45,6 +45,24 @@ def test_optimal_time_worked_instance():
     assert t1 * C1 == pytest.approx(res.rate, rel=1e-12)
     assert t2 * C2 == pytest.approx(res.rate, rel=1e-12)
     assert t1 + t2 == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["optimal_time", "equal_time"])
+def test_overflowing_slot_rates_raise(mode):
+    # every gain times the budget overflows, so every slot rate is infinite
+    channel = ChannelRealization((1e200, 1e201), 1.0)
+    with pytest.raises(OverflowError, match=_BRACKET_OVERFLOW):
+        tdma_maxmin(channel, 0.3, 1e110, mode)
+
+
+def test_one_overflowing_slot_takes_no_time():
+    # only the strong user's slot rate is infinite: it needs no time at all
+    channel = ChannelRealization((10.0, 1e201), 1.0)
+    opt = tdma_maxmin(channel, 0.3, 1e110, "optimal_time")
+    weak = tdma_user_rate(10.0, 1.0, 0.3, 1e110, 1.0)
+    assert opt.rate == weak
+    assert opt.time.fractions == (1.0, 0.0)
+    assert tdma_maxmin(channel, 0.3, 1e110, "equal_time").rate == weak / 2
 
 
 def test_user_rate_clips_and_scales():
