@@ -5,14 +5,16 @@
         [--seed 11] [--pairs 10] --out BENCH.json
 
 Each pair runs `perfbench/run.py` once in each checkout, the parent first in
-even pairs and the change first in odd ones. After each run, the same side's
-CLI cold start is timed: the median wall time of five fresh
-`python -m secnoma --help` processes on that checkout's sources. Every run's
-record line, result line and cold start are appended to the JSON file at
---out (created if missing), and the summary of each (workload, seed) is
-rebuilt from all its pairs: per end-to-end metric and for the cold start, the
-median and quartiles of each side and the number of pairs the change won
-(ties count for neither).
+even pairs and the change first in odd ones. In cli_calls pairs, the
+workload about start-up cost, each run is followed by the same side's CLI
+cold start: the median wall time of five fresh `python -m secnoma --help`
+processes on that checkout's sources (`help_wall_s`; it does not depend on
+the workload, so the other workloads do not repeat it). Every run's record
+line, result line and cold start are appended to the JSON file at --out
+(created if missing), and the summary of each (workload, seed) is rebuilt
+from all its pairs: per end-to-end metric and for the cold start, the median
+and quartiles of each side and the number of pairs the change won (ties
+count for neither).
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COLD_STARTS = 5
+COLD_START_WORKLOAD = "cli_calls"
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -75,9 +78,10 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         summary[name] = compare(parent, change, direction)
-    summary["help_wall_s"] = compare(
-        [p["parent"]["help_wall_s"] for p in pairs], [p["change"]["help_wall_s"] for p in pairs], "lower"
-    )
+    if "help_wall_s" in pairs[0]["parent"]:
+        summary["help_wall_s"] = compare(
+            [p["parent"]["help_wall_s"] for p in pairs], [p["change"]["help_wall_s"] for p in pairs], "lower"
+        )
     summary["failed"] = {
         side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
     }
@@ -104,13 +108,15 @@ def main(argv=None) -> int:
         pair = {"first": order[0]}
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload, args.seed)
-            pair[side]["help_wall_s"] = help_wall_s(getattr(args, side))
+            if args.workload == COLD_START_WORKLOAD:
+                pair[side]["help_wall_s"] = help_wall_s(getattr(args, side))
         pairs.append(pair)
         data["summary"][key] = summarise(pairs, better)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
         print(f"{key} pair {len(pairs)}: " + " ".join(
             f"{s}={pair[s]['result']['metrics']['norm_ops_per_s']['value']:.6g}"
-            f" (--help {pair[s]['help_wall_s'] * 1e3:.0f} ms)" for s in order
+            + (f" (--help {pair[s]['help_wall_s'] * 1e3:.0f} ms)" if "help_wall_s" in pair[s] else "")
+            for s in order
         ), flush=True)
     return 0
 

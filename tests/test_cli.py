@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import secnoma.cli
 from secnoma import ChannelRealization, PowerAllocation, SweepSpec, secrecy_outage_closed_form
+from secnoma._lazy import lazy_module
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
 
 # dB encodings of the (5, 10) worked instance with unit eavesdropper gain
@@ -371,3 +373,35 @@ def test_array_calls_import_numpy(tmp_path):
     assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *fading)
     assert (tmp_path / "avg_rate_vs_eps.csv").exists()
     assert len(_FIXED_SPECS) == 4
+
+
+def test_lazy_module_runs_the_module_on_first_attribute_access(tmp_path, monkeypatch):
+    (tmp_path / "lazy_probe.py").write_text('import os\nos.environ["LAZY_PROBE"] = "ran"\nVALUE = 42\n')
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setenv("LAZY_PROBE", "")
+    finders = list(sys.meta_path)
+    try:
+        module = lazy_module("lazy_probe")
+        assert sys.meta_path == finders
+        assert os.environ["LAZY_PROBE"] == ""
+        assert module.VALUE == 42
+        assert os.environ["LAZY_PROBE"] == "ran"
+        assert lazy_module("lazy_probe") is module is sys.modules["lazy_probe"]
+    finally:
+        sys.modules.pop("lazy_probe", None)
+    with pytest.raises(ModuleNotFoundError):
+        lazy_module("lazy_probe_missing")
+    assert sys.meta_path == finders
+
+
+def test_importtime_report_lists_the_deferred_numpy(tmp_path):
+    # `-X importtime` readers (the per-layer cold-start probe among them) see
+    # numpy bound by `import secnoma.cli`, although numpy's own code never runs
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import secnoma.cli\n" + _REPORT],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert names.count("numpy") == 1
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
