@@ -89,12 +89,13 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
     full = [_slot_rate_full(g, phi, p_mw) for g in channel.user_gains]
-    if min(full) == math.inf:
+    weakest = min(full)
+    if weakest == math.inf:
         raise OverflowError(_BRACKET_OVERFLOW)
     equal = TimeAllocation(tuple(1.0 / num for _ in range(num)))
     if mode == "equal_time":
-        return TdmaMaxMin(min(full) / num, equal)
-    if min(full) <= 0.0:
+        return TdmaMaxMin(weakest / num, equal)
+    if weakest <= 0.0:
         return TdmaMaxMin(0.0, equal)
     weights = [1.0 / c for c in full]
     total = sum(weights)
