@@ -15,7 +15,7 @@ from .channel import (
     db_to_linear,
     dbm_to_mw,
     mw_to_dbm,
-    sample_realization,
+    sample_trial_gains,
 )
 from .experiments import SweepSpec, run_sweep, write_results
 from .maxmin import DEFAULT_TOL, _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
@@ -69,7 +69,10 @@ def _channel_from_args(args, parser) -> ChannelRealization:
             args.eaves_noise_dbm if args.eaves_noise_dbm is not None else args.noise_dbm
         ),
     )
-    return sample_realization(geometry, args.seed)
+    # the array kernel: equal to sample_realization's draw bit for bit, and
+    # it needs no numpy.random
+    gains = sample_trial_gains(geometry, [args.seed])[0]
+    return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
 
 
 def _print_verdict(verdict, as_json):

@@ -180,14 +180,6 @@ def _geometry(fixed, num) -> NetworkGeometry:
     )
 
 
-def _mean_stderr(values):
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
 def _run_power_vs_q(spec):
     channel = _fixed_channel(spec.fixed)
     eps = spec.fixed["eps"]
@@ -261,10 +253,13 @@ def _run_beta_vs_eps(spec):
 
 def _avg_rate_rows(rows, x, spec, rates, feasible):
     """Append the avg_min_rate row of each scheme at axis point x, from the
-    per-trial (noma, tdma_opt, tdma_eq) rates; returns the feasible fraction
-    and the noma and tdma_opt (mean, stderr)."""
+    (3, N) per-trial (noma, tdma_opt, tdma_eq) rates; returns the feasible
+    fraction and the noma and tdma_opt (mean, stderr)."""
     frac = float(feasible.mean())
-    stats = [_mean_stderr(per_trial) for per_trial in rates]
+    trials = rates.shape[1]
+    means = rates.mean(axis=1).tolist()
+    stderrs = (rates.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * 3
+    stats = list(zip(means, stderrs))
     for scheme, (mean, stderr) in zip(("noma", "tdma_opt", "tdma_eq"), stats):
         rows.append(AggregateResult(x, scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed))
     return frac, stats[0], stats[1]
@@ -277,8 +272,8 @@ _BATCH_ROWS = 4096
 
 def _maxmin_rates_per_trial(points, p, tol):
     """Yield, for each axis point taken in order as (sorted (N, K) gain
-    matrix, phi), its zero-filled per-trial rates for the three schemes plus
-    its feasibility flags.
+    matrix, phi), its zero-filled (3, N) per-trial rates for the three
+    schemes and its feasibility flags.
 
     Consecutive points share one lockstep solve of at most _BATCH_ROWS
     feasible rows; a point with more is solved alone. Points are read and
@@ -318,7 +313,7 @@ def _solve_batch(batch, p, tol):
     for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
         rates = np.zeros((3, len(feasible)))
         rates[:, feasible] = block
-        yield (*rates, feasible)
+        yield rates, feasible
 
 
 def _run_avg_rate_vs_eps(spec):
@@ -332,7 +327,7 @@ def _run_avg_rate_vs_eps(spec):
     eps_values = [float(eps) for eps in spec.axis.values()]
     points = ((gains, _stringency(geometry.eaves_avg_gain(), eps)) for eps in eps_values)
     rows = []
-    for eps, (*rates, feasible) in zip(eps_values, _maxmin_rates_per_trial(points, p, tol)):
+    for eps, (rates, feasible) in zip(eps_values, _maxmin_rates_per_trial(points, p, tol)):
         _avg_rate_rows(rows, eps, spec, rates, feasible)
     return rows
 
@@ -357,7 +352,7 @@ def _run_gain_vs_k(spec):
         return gains, _stringency(geometry.eaves_avg_gain(), eps)
 
     rows = []
-    for num, (*rates, feasible) in zip(counts, _maxmin_rates_per_trial(map(point, counts), p, tol)):
+    for num, (rates, feasible) in zip(counts, _maxmin_rates_per_trial(map(point, counts), p, tol)):
         frac, (mean_noma, se_noma), (mean_opt, se_opt) = _avg_rate_rows(
             rows, float(num), spec, rates, feasible
         )

@@ -28,6 +28,8 @@ np = lazy_module("numpy")
 DEFAULT_TOL = 1e-10
 # an infinite bracket would never narrow
 _BRACKET_OVERFLOW = "the weakest gain times the power budget overflows"
+# nor would a bracket of two adjacent floats that is still tol wide
+_BRACKET_STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,32 @@ def solve_maxmin_bisection(
     slots = [_slot_rate_full(g, phi, power_budget_mw) for g in gains]
     floor = 1.0 / sum(1.0 / c for c in slots) if min(slots) > 0.0 else 0.0
     lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
+    narrow = _can_stall(tol, hi)
     iterations = 0
     while hi - lo >= tol:
         iterations += 1
         q = 0.5 * (lo + hi)
         if q <= lo_e or (q < hi_e and _fits(gains, phi, power_budget_mw, q)):
+            if narrow and q == lo:
+                raise ValueError(_BRACKET_STALLED)
             lo = q
         else:
+            if narrow and q == hi:
+                raise ValueError(_BRACKET_STALLED)
             hi = q
     if lo == 0.0:
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
     powers, _, _ = _recursion(gains, phi, 2.0 ** lo)
     return MaxMinSolution(lo, PowerAllocation(tuple(powers)), iterations)
+
+
+def _can_stall(tol, hi):
+    """Whether a bracket inside [0, hi] can stop shrinking before it is
+    narrower than tol. A midpoint lies strictly between its bounds unless
+    they are adjacent floats, and adjacent floats below hi are at most
+    ulp(hi) apart; so only then can a step set a bound to itself, and it
+    then repeats forever. Any coarser tol skips the check."""
+    return tol <= math.ulp(hi)
 
 
 def _slot_rate_full(gain, phi, p):
@@ -202,27 +218,26 @@ def _fits_rows(gains, phi, pad, power_budget_mw, q):
 
 def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     """`_seed` on every row, with numpy's exp2 for 2**q: the seed only
-    places the window, so it need not round like the exact test."""
+    places the window, so it need not round like the exact test. Rows stay
+    in place; one that has settled or left (0, hi) is masked out of live and
+    its arithmetic from then on is discarded."""
     seed = np.full(len(q), np.nan)
-    rows = np.arange(len(q))
+    live = np.ones(len(q), dtype=bool)
     feasible = np.zeros(len(q), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_EVALS):
-            keep = (0.0 < q) & (q < hi)
-            if not keep.all():
-                rows, gains, phi, pad, hi, q, feasible = (
-                    a[keep] for a in (rows, gains, phi, pad, hi, q, feasible)
-                )
-            if not rows.size:
+            live &= (0.0 < q) & (q < hi)
+            if not live.any():
                 break
             rho = np.exp2(q)
             total, slope, ok = _recursion_slope_rows(gains, phi, rho, pad)
             fits = ok & (total <= power_budget_mw)
             step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
             ahead = q + step
-            settled = np.where(fits, step < _NEWTON_STOP * np.maximum(1.0, ahead), feasible)
-            seed[rows[settled]] = np.where(fits, ahead, q)[settled]
-            q = np.where(settled, 0.0, np.where(fits, ahead, 0.5 * q))
+            settled = live & np.where(fits, step < _NEWTON_STOP * np.maximum(1.0, ahead), feasible)
+            seed = np.where(settled, np.where(fits, ahead, q), seed)
+            live &= ~settled
+            q = np.where(fits, ahead, 0.5 * q)
             feasible |= fits
     return seed
 
@@ -239,6 +254,21 @@ def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 
+def _move(bits, q, move, narrow):
+    """Set the bounds picked by move, a (2, M) mask over the int64 view bits
+    of the (lo, hi) rows, to their row's midpoint in q. Bounds and midpoints
+    are finite and nonnegative, so their bit patterns are int64s in
+    [0, 2**63) whose differences cannot overflow, and bits += (q_bits -
+    bits) * move sets each picked bound to q exactly, with no branch on the
+    mask. Raises if a picked bound is its own midpoint (see `_can_stall`);
+    narrow says whether that can happen."""
+    step = q.view(np.int64) - bits
+    step *= move
+    if narrow and (move & (step == 0)).any():
+        raise ValueError(_BRACKET_STALLED)
+    bits += step
+
+
 def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     """`solve_maxmin_bisection` on every row of an (M, K) gain matrix in
     lockstep, with one stringency per row in phi and one feasible floor per
@@ -247,12 +277,14 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     scalar solver's.
 
     A row with fewer than K users holds its gains, ascending, in its last
-    columns and +inf in the leading ones. Each row keeps its own bracket. A
-    floor is accepted by raising lo to it, so lo is the last accepted floor,
-    or 0.0 if there was none. Every row first replays its midpoints by
-    compares alone until one falls inside its window; only such rows then
-    take an exact step, and a row leaves once its bracket is narrower than
-    tol.
+    columns and +inf in the leading ones. Each row keeps its own bracket, a
+    column of one (2, M) array of (lo, hi). A floor is accepted by raising
+    lo to it, so lo is the last accepted floor, or 0.0 if there was none.
+    In each pass every row first replays its midpoints by compares alone,
+    in place, until each lies inside its window; only such rows then take an
+    exact step, and a row leaves between passes once its bracket is
+    narrower than tol. While every bracket is at least tol wide, no round
+    computes which rows are live.
     """
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
@@ -264,32 +296,40 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
         hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
     if (hi == np.inf).any():
         raise OverflowError(_BRACKET_OVERFLOW)
+    narrow = _can_stall(tol, float(hi.max(initial=0.0)))
     lo_e, hi_e = _window_rows(gains, phi, pad, power_budget_mw, hi, floor)
     rate = np.empty(len(gains))
     active = np.arange(len(gains))
-    lo = np.zeros(len(gains))
-    while True:
+    bounds = np.stack((np.zeros(len(gains)), hi))
+    while active.size:
+        lo, hi = bounds
+        bits = bounds.view(np.int64)
+        move = np.empty(bounds.shape, dtype=bool)
+        closing = False
         # decide by compares every midpoint outside its row's window
         while True:
-            live = hi - lo >= tol
             q = 0.5 * (lo + hi)
-            below = live & (q <= lo_e)
-            above = live & (q >= hi_e)
-            if not (below.any() or above.any()):
+            np.less_equal(q, lo_e, out=move[0])
+            np.greater_equal(q, hi_e, out=move[1])
+            width = hi - lo
+            closing = closing or width.min() < tol
+            if closing:
+                move &= width >= tol
+            if not move.any():
                 break
-            np.copyto(lo, q, where=below)
-            np.copyto(hi, q, where=above)
-        if not live.all():
+            _move(bits, q, move, narrow)
+        if closing:
+            live = width >= tol
             done = ~live
             rate[active[done]] = lo[done]
             active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
-            lo, hi, lo_e, hi_e, q = lo[live], hi[live], lo_e[live], hi_e[live], q[live]
-        if not active.size:
-            break
+            bounds, lo_e, hi_e, q = bounds[:, live], lo_e[live], hi_e[live], q[live]
+            if not active.size:
+                break
+            bits = bounds.view(np.int64)
         # every midpoint left lies inside its window: one exact step
         accept = _fits_rows(gains, phi, pad, power_budget_mw, q)
-        lo = np.where(accept, q, lo)
-        hi = np.where(accept, hi, q)
+        _move(bits, q, np.stack((accept, ~accept)), narrow)
     if not (rate > 0.0).all():
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
     return rate

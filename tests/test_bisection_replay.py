@@ -5,6 +5,7 @@ outside a certified window around a Newton estimate of the switch. Its
 result must be the plain bisection's, bit for bit, whatever the seed, and it
 must keep needing only a few exact tests per row.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -20,12 +21,13 @@ from secnoma import (
     trial_seeds,
 )
 from secnoma import maxmin
-from secnoma.maxmin import _bisect_rows
+from secnoma.maxmin import _bisect_rows, _log2_each, _window_rows
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency
 from secnoma.tdma import _tdma_maxmin_rows
 
 COARSE = "tolerance too coarse to certify a positive rate at this budget"
+STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
 
 
 def _plain_bisection(gains, phi, budget, tol):
@@ -52,17 +54,18 @@ def _check_against_oracle(rows, eaves, eps, budget, tol):
     if not rows:
         return 0
     expected = [_plain_bisection(row, phi, budget, tol) for row in rows]
-    coarse = any(best is None for _, best, _ in expected)
-    width = max(len(row) for row in rows)
-    gains = np.array([[math.inf] * (width - len(row)) + row for row in rows])
-    phis = np.full(len(rows), phi)
-    floor, _ = _tdma_maxmin_rows(gains, phis, budget)
-    if coarse:
-        with pytest.raises(ValueError, match=f"^{COARSE}$"):
-            _bisect_rows(gains, phis, budget, tol, floor)
-    else:
-        got = _bisect_rows(gains, phis, budget, tol, floor)
-        assert got.tobytes() == np.array([rate for rate, _, _ in expected]).tobytes()
+    # the whole padded batch, and its first row as a batch of one
+    for batch, wanted in ((rows, expected), (rows[:1], expected[:1])):
+        width = max(len(row) for row in batch)
+        gains = np.array([[math.inf] * (width - len(row)) + row for row in batch])
+        phis = np.full(len(batch), phi)
+        floor, _ = _tdma_maxmin_rows(gains, phis, budget)
+        if any(best is None for _, best, _ in wanted):
+            with pytest.raises(ValueError, match=f"^{COARSE}$"):
+                _bisect_rows(gains, phis, budget, tol, floor)
+        else:
+            got = _bisect_rows(gains, phis, budget, tol, floor)
+            assert got.tobytes() == np.array([rate for rate, _, _ in wanted]).tobytes()
     for row, (rate, best, iterations) in zip(rows, expected):
         channel = ChannelRealization(tuple(row), eaves)
         if best is None:
@@ -80,14 +83,14 @@ def _instances(draw):
     # window is absolute in q, which has no units
     scale = 10.0 ** draw(st.floats(-6.0, 6.0))
     row = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8)
-    rows = draw(st.lists(row, min_size=1, max_size=6))
-    return (
-        [sorted(scale * 10.0**x for x in xs) for xs in rows],
-        scale * 10.0 ** draw(st.floats(-1.0, 1.0)),
-        draw(st.floats(0.02, 0.6)),
-        10.0 ** (draw(st.floats(-20.0, 50.0)) / 10.0),
-        10.0 ** draw(st.integers(-13, -6)),
-    )
+    rows = [sorted(scale * 10.0**x for x in xs) for xs in draw(st.lists(row, min_size=1, max_size=6))]
+    budget = 10.0 ** (draw(st.floats(-20.0, 50.0)) / 10.0)
+    # from a few ulps of the widest bracket, where rows close many rounds
+    # apart, to coarse enough that some rows certify nothing; no finer, as
+    # a bracket of adjacent floats can then stop shrinking
+    ulp = max(math.ulp(math.log2(1.0 + row[0] * budget)) for row in rows)
+    tol = max(10.0 ** draw(st.floats(-17.0, -2.0)), draw(st.integers(2, 8)) * ulp)
+    return rows, scale * 10.0 ** draw(st.floats(-1.0, 1.0)), draw(st.floats(0.02, 0.6)), budget, tol
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,3 +197,54 @@ def test_overflowing_bracket_raises_on_both_paths():
     matrix, phi = np.array([gains]), np.array([_stringency(1.0, 0.3)])
     with pytest.raises(OverflowError, match="overflows"):
         _bisect_rows(matrix, phi, budget, 1e-10, np.zeros(1))
+
+
+def _batch(rows, eaves, eps):
+    """The feasible rows at eps as one padded matrix, with their phis."""
+    phi = _stringency(eaves, eps)
+    feasible = [row for row in rows if row[0] > phi]
+    width = max(len(row) for row in feasible)
+    gains = np.array([[math.inf] * (width - len(row)) + row for row in feasible])
+    return gains, np.full(len(feasible), phi)
+
+
+def test_newton_windows_are_frozen():
+    # the windows the row seed places, bit for bit, on the batches of
+    # test_replay_keeps_exact_tests_few (recorded before the seed stopped
+    # compacting its rows)
+    rows, eaves = _standard_rows(seed=11, trials=150)
+    digest = hashlib.sha256()
+    for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
+        gains, phis = _batch(rows, eaves, eps)
+        budget = 10.0 ** (p_dbm / 10.0)
+        pad = np.isinf(gains[:, :-1])
+        pad = pad[:, : int(pad.any(axis=0).sum())]
+        hi = _log2_each(1.0 + gains.min(axis=1) * budget)
+        floor, _ = _tdma_maxmin_rows(gains, phis, budget)
+        for window in _window_rows(gains, phis, pad, budget, hi, floor):
+            digest.update(window.tobytes())
+    assert digest.hexdigest() == "ea412ca6184e741b95e65e64cdf3fd2af47402ece37150b20870456375dad2ef"
+
+
+def test_stalled_bracket_raises_on_both_paths():
+    # 1e-17 is below the spacing of floats near the rate (about 1.3), so
+    # the bracket ends as two adjacent floats still wider than tol
+    gains, eaves, eps, p_dbm, tol = [10.0**0.7, 10.0], 1.0, 0.3, 20.0, 1e-17
+    budget = 10.0 ** (p_dbm / 10.0)
+    with pytest.raises(ValueError, match=f"^{STALLED}$"):
+        solve_maxmin_bisection(ChannelRealization(tuple(gains), eaves), eps, budget, tol)
+    matrix, phis = _batch([gains, [gains[1]]], eaves, eps)
+    floor, _ = _tdma_maxmin_rows(matrix, phis, budget)
+    with pytest.raises(ValueError, match=f"^{STALLED}$"):
+        _bisect_rows(matrix, phis, budget, tol, floor)
+
+
+def test_fine_tolerance_that_closes_is_unchanged():
+    # tol is below the spacing of floats at the top of the bracket, so the
+    # stall check runs, but the rate lies where floats are 1e-20 apart and
+    # the bracket closes as before
+    eaves, eps, budget, tol = 1.0, 0.3, 1e4, 1e-17
+    phi = _stringency(eaves, eps)
+    rows = [[1.0001 * phi, 3.0 * phi], [1.001 * phi]]
+    assert tol <= math.ulp(math.log2(1.0 + rows[0][0] * budget))
+    assert _check_against_oracle(rows, eaves, eps, budget, tol) == 2

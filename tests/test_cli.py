@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import secnoma.cli
-from secnoma import ChannelRealization, PowerAllocation, SweepSpec, secrecy_outage_closed_form
+from secnoma import (
+    ChannelRealization,
+    NetworkGeometry,
+    PowerAllocation,
+    SweepSpec,
+    dbm_to_mw,
+    sample_realization,
+    secrecy_outage_closed_form,
+)
 from secnoma._lazy import lazy_module
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
 
@@ -135,6 +143,23 @@ def test_overflowing_sweep_is_one_line_error(tmp_path):
     rc, out, err = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
     assert rc == EXIT_USAGE and out == ""
     assert err == "error: an input is too large: the arithmetic overflows\n"
+
+
+def test_stalled_tolerance_is_one_line_error(tmp_path):
+    # 1e-17 is below the float spacing near the rate: the bracket stops
+    # shrinking, on the scalar path and on the sweep's row path
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "kind = avg_rate_vs_eps\naxis = eps\naxis_start = 0.1\naxis_stop = 0.3\naxis_steps = 2\n"
+        "k = 2\nd_user = 50\nd_eave = 80\np_dbm = 20\ntrials = 20\nseed = 1\ntol = 1e-17\n"
+    )
+    for args in (
+        ("max-min-rate", "--gains-db", "7,10", "--eaves-db", "0", "--p-dbm", "20", "--eps", "0.3", "--tol", "1e-17"),
+        ("sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")),
+    ):
+        rc, out, err = run_cli(*args)
+        assert rc == EXIT_USAGE and out == ""
+        assert err == "error: tolerance finer than the float spacing of the rate: the bracket stopped shrinking\n"
 
 
 def test_max_min_rate_worked_instance():
@@ -305,6 +330,15 @@ def test_geometry_path_is_seeded(tmp_path):
     assert json.loads(out1)["gains"] != json.loads(out3)["gains"]
 
 
+@pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
+def test_geometry_path_draws_the_library_realization(seed):
+    parser = secnoma.cli.build_parser()
+    args = parser.parse_args(["max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
+                              "--p-dbm", "20", "--eps", "0.3", "--seed", str(seed)])
+    geometry = NetworkGeometry((50.0,) * 3, 80.0, 4.0, dbm_to_mw(-70.0), dbm_to_mw(-70.0))
+    assert secnoma.cli._channel_from_args(args, parser) == sample_realization(geometry, seed)
+
+
 def test_min_power_matches_oracle_after_db_round_trip():
     # geometry-free dB inputs land on the same instance the library solves
     rc, out, _ = run_cli(
@@ -368,7 +402,9 @@ def test_array_calls_import_numpy(tmp_path):
     # the positive control: the same probe sees numpy where array code runs
     geometry = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
                 "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
-    assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *geometry)
+    loaded = numpy_modules_after(tmp_path, _RUN_CLI, *geometry)
+    assert "numpy._core" in loaded
+    assert "numpy.random" not in loaded  # one draw through the array kernel
     fading = ("sweep", "--config", str(_SPECS_DIR / "avg_rate_vs_eps.spec"))
     assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *fading)
     assert (tmp_path / "avg_rate_vs_eps.csv").exists()

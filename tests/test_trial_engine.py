@@ -150,7 +150,7 @@ def _check_points(points, eaves, p, tol=1e-10):
     got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
     assert len(got) == len(points)
     counts = []
-    for (gains, eps), (noma, opt, eq, feasible) in zip(points, got):
+    for (gains, eps), ((noma, opt, eq), feasible) in zip(points, got):
         expected = _scalar_rates(gains, eaves, eps, p, tol)
         assert np.array_equal(feasible, expected[0] > 0)
         for rate, want in zip((noma, opt, eq), expected):
