@@ -46,6 +46,15 @@ def _plain_bisection(gains, phi, budget, tol):
     return lo, best, iterations
 
 
+def _batch(rows, eaves, eps):
+    """The feasible rows at eps as one padded matrix, with their phis."""
+    phi = _stringency(eaves, eps)
+    feasible = [row for row in rows if row[0] > phi]
+    width = max(len(row) for row in feasible)
+    gains = np.array([[math.inf] * (width - len(row)) + row for row in feasible])
+    return gains, np.full(len(feasible), phi)
+
+
 def _check_against_oracle(rows, eaves, eps, budget, tol):
     """Solve the feasible rows both ways, the array path on one padded
     matrix, and compare each with the plain bisection."""
@@ -56,9 +65,7 @@ def _check_against_oracle(rows, eaves, eps, budget, tol):
     expected = [_plain_bisection(row, phi, budget, tol) for row in rows]
     # the whole padded batch, and its first row as a batch of one
     for batch, wanted in ((rows, expected), (rows[:1], expected[:1])):
-        width = max(len(row) for row in batch)
-        gains = np.array([[math.inf] * (width - len(row)) + row for row in batch])
-        phis = np.full(len(batch), phi)
+        gains, phis = _batch(batch, eaves, eps)
         floor, _ = _tdma_maxmin_rows(gains, phis, budget)
         if any(best is None for _, best, _ in wanted):
             with pytest.raises(ValueError, match=f"^{COARSE}$"):
@@ -199,15 +206,6 @@ def test_overflowing_bracket_raises_on_both_paths():
         _bisect_rows(matrix, phi, budget, 1e-10, np.zeros(1))
 
 
-def _batch(rows, eaves, eps):
-    """The feasible rows at eps as one padded matrix, with their phis."""
-    phi = _stringency(eaves, eps)
-    feasible = [row for row in rows if row[0] > phi]
-    width = max(len(row) for row in feasible)
-    gains = np.array([[math.inf] * (width - len(row)) + row for row in feasible])
-    return gains, np.full(len(feasible), phi)
-
-
 def test_newton_windows_are_frozen():
     # the windows the row seed places, bit for bit, on the batches of
     # test_replay_keeps_exact_tests_few (recorded before the seed stopped
@@ -241,7 +239,7 @@ def test_stalled_bracket_raises_on_both_paths():
 
 def test_fine_tolerance_that_closes_is_unchanged():
     # tol is below the spacing of floats at the top of the bracket, so the
-    # stall check runs, but the rate lies where floats are 1e-20 apart and
+    # stall check runs, but the rate lies where floats are 3e-20 apart and
     # the bracket closes as before
     eaves, eps, budget, tol = 1.0, 0.3, 1e4, 1e-17
     phi = _stringency(eaves, eps)
