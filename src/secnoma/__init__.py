@@ -34,18 +34,15 @@ from .power_min import (
     InfeasibleVerdict,
     PowerMinSolution,
     UserSelection,
-    bruteforce_min_power,
     constraint_ratio,
     select_users,
     solve_min_power,
-    verify_optimality_bruteforce,
 )
 from .secrecy import (
     PowerAllocation,
     RatePair,
     SecrecyRequirement,
     eaves_sinr,
-    empirical_outage,
     max_codeword_rate,
     optimal_decoding_order,
     secrecy_outage_closed_form,

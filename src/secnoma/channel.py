@@ -109,12 +109,6 @@ def _generator(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def _exp_draws(rng, mean, n):
-    # inverse CDF on U[0,1); 1-u is in (0,1] so the log never overflows
-    u = rng.random(n)
-    return -mean * np.log1p(-u)
-
-
 # numpy's SeedSequence and Philox4x64-10 (Salmon et al., "Parallel Random
 # Numbers: As Easy as 1, 2, 3", SC'11) in whole-array arithmetic, so every
 # trial's stream is keyed and drawn at once: row i of `_trial_uniforms` equals
@@ -216,8 +210,9 @@ def _trial_uniforms(seeds, num):
 
 
 def _gains_from_uniforms(geometry: NetworkGeometry, u) -> np.ndarray:
-    """Sorted gains from an (N, K) block of uniforms: `_exp_draws`' inverse
+    """Sorted gains from an (N, K) block of uniforms: the exponential inverse
     CDF at unit mean, the path-loss scale and the noise floor."""
+    # 1 - u is in (0, 1] for u in [0, 1), so the log never overflows
     fading = -np.log1p(-u)
     scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
     return np.sort(scale * fading / geometry.noise_user_mw, axis=1)

@@ -204,7 +204,11 @@ def _cmd_sweep(args, parser):
         print(f"sweep config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows = run_sweep(spec)
-    write_results(rows, out)
+    try:
+        write_results(rows, out)
+    except OSError as exc:
+        print(f"sweep output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 

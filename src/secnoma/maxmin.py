@@ -3,7 +3,8 @@
 The common rate floor is feasible at some level iff the minimum-power problem
 at that level fits the budget, and required power is increasing in the floor,
 so a bisection on the floor is exact. For two users the optimum also has a
-closed form, which doubles as an independent check on the bisection.
+closed form, which doubles as an independent check on the bisection; the
+bisection uses it only to place the window it replays around (`_seed`).
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ def solve_maxmin_bisection(
 
     The bracket starts at [0, log2(1 + gamma_1 * P)]: the weakest user could
     never exceed that rate even alone, unprotected. Midpoints outside a
-    certified window around a Newton estimate of the switch are decided
-    without a solve (see `_window`); the result is the plain bisection's.
+    certified window around an estimate of the switch are decided without a
+    solve (see `_window`); the result is the plain bisection's.
     """
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
@@ -125,10 +126,11 @@ def _slot_rate_full(gain, phi, p):
 
 
 # The bisection's result depends only on where its float feasibility test
-# switches from accept to reject. A Newton estimate r of that switch, checked
-# by two exact tests at r -/+ _WINDOW, lets every midpoint outside that
-# window be decided by a compare: the test is taken as monotone at this
-# distance from its switch. _WINDOW is absolute in q = log2(rho), which has no
+# switches from accept to reject. An estimate r of that switch, checked by two
+# exact tests at r -/+ _WINDOW, lets every midpoint outside that window be
+# decided by a compare: the test is taken as monotone at this distance from
+# its switch. The estimate is the closed-form optimum for two users and a
+# Newton root otherwise. _WINDOW is absolute in q = log2(rho), which has no
 # units, and dwarfs the seed's own distance from the switch (at most about
 # 2e-15 on random instances with K = 1..8 and gains over twelve decades).
 _WINDOW = 1e-11
@@ -145,6 +147,16 @@ def _fits(gains, phi, power_budget_mw, q):
 
 
 def _seed(gains, phi, power_budget_mw, hi, q):
+    """Estimate of the floor at which the budget test switches: log2 of the
+    closed-form ceiling for two users, else `_newton`'s. nan if there is none
+    (the ceiling underflows when the gains are near the float range's end)."""
+    if len(gains) == 2:
+        ceiling = rate_ceiling_two_user(*gains, phi, power_budget_mw)
+        return math.log2(ceiling) if ceiling > 0.0 else math.nan
+    return _newton(gains, phi, power_budget_mw, hi, q)
+
+
+def _newton(gains, phi, power_budget_mw, hi, q):
     """Newton estimate of the floor at which the budget test switches: the
     root of 1/T(q) - 1/P, with T the recursion's total power, from the
     feasible floor q in (0, hi). nan when it does not settle inside (0, hi).
@@ -217,9 +229,18 @@ def _fits_rows(gains, phi, pad, power_budget_mw, q):
 
 
 def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
-    """`_seed` on every row, with numpy's exp2 for 2**q: the seed only
-    places the window, so it need not round like the exact test. Rows stay
-    in place; one that has settled or left (0, hi) is masked out of live and
+    """`_seed` on every row, with numpy's log2: the seed only places the
+    window, so it need not round like the exact test. A batch takes the
+    closed form only if every row has two users."""
+    if gains.shape[1] == 2 and not pad.shape[1]:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log2(rate_ceiling_two_user(gains[:, 0], gains[:, 1], phi, power_budget_mw, np.sqrt))
+    return _newton_rows(gains, phi, pad, power_budget_mw, hi, q)
+
+
+def _newton_rows(gains, phi, pad, power_budget_mw, hi, q):
+    """`_newton` on every row, with numpy's exp2 for 2**q. Rows stay in
+    place; one that has settled or left (0, hi) is masked out of live and
     its arithmetic from then on is discarded."""
     seed = np.full(len(q), np.nan)
     live = np.ones(len(q), dtype=bool)
@@ -335,18 +356,32 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     return rate
 
 
-def _psi(g1, g2, phi, p):
-    return math.sqrt(
+def _psi(g1, g2, phi, p, sqrt=math.sqrt):
+    """The square root of the two-user quadratic's discriminant, on floats
+    with math.sqrt or on arrays with np.sqrt. Both are correctly rounded,
+    and the spread is squared by a product, which numpy rounds as Python
+    does (libm's pow(x, 2) need not), so both give the same bits."""
+    spread = g2 - g1
+    return sqrt(
         (1.0 + phi * p)
-        * (4.0 * (1.0 + g1 * p) * (g1 - phi) * (g2 - phi) + (1.0 + phi * p) * (g2 - g1) ** 2)
+        * (4.0 * (1.0 + g1 * p) * (g1 - phi) * (g2 - phi) + (1.0 + phi * p) * (spread * spread))
     )
+
+
+def _finite_psi(g1, g2, phi, p):
+    """`_psi` for the public closed forms, which would return inf, 0.0 or
+    nan where it overflows."""
+    psi = _psi(g1, g2, phi, p)
+    if psi == math.inf:
+        raise OverflowError("the two-user closed form overflows")
+    return psi
 
 
 def _split_terms(g1, g2, phi, p):
     """psi, the numerator of the weak user's optimal power, and the bracketed
     factor of its denominator (2 * factor for the power, 2 * p * factor for
     the budget share)."""
-    psi = _psi(g1, g2, phi, p)
+    psi = _finite_psi(g1, g2, phi, p)
     num = (1.0 + phi * p) * (g2 + g1 * (1.0 + 2.0 * g2 * p) - 2.0 * phi * (1.0 + g1 * p)) - psi
     return psi, num, (1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p)
 
@@ -375,12 +410,16 @@ def solve_maxmin_two_user(
 
 
 def _ceiling(psi, g1, g2, phi, p):
-    return (psi - (1.0 + phi * p) * (g2 - g1)) / (2.0 * (1.0 + phi * p) * (g1 - phi))
+    # (psi - A) / (2 (1 + phi p) (g1 - phi)) with A = (1 + phi p)(g2 - g1),
+    # times (psi + A) / (psi + A): psi^2 - A^2 = 4 (1 + phi p)(1 + g1 p)
+    # (g1 - phi)(g2 - phi), so no near-equal terms are subtracted when g2 >> g1
+    return 2.0 * (1.0 + g1 * p) * (g2 - phi) / (psi + (1.0 + phi * p) * (g2 - g1))
 
 
-def rate_ceiling_two_user(g1, g2, phi, p):
-    """2^rate at the two-user optimum (the budget-limited ceiling b3)."""
-    return _ceiling(_psi(g1, g2, phi, p), g1, g2, phi, p)
+def rate_ceiling_two_user(g1, g2, phi, p, sqrt=math.sqrt):
+    """2^rate at the two-user optimum (the budget-limited ceiling b3), on
+    floats, or on arrays with sqrt=np.sqrt."""
+    return _ceiling(_psi(g1, g2, phi, p, sqrt), g1, g2, phi, p)
 
 
 def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, float, float]:
@@ -395,7 +434,7 @@ def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, flo
     b1 = g2 / phi
     inner = 4.0 * phi * phi * g1 - 3.0 * phi * g1 * g1 - 6.0 * phi * g1 * g2 + 4.0 * g1 * g1 * g2 + phi * g2 * g2
     b2 = (math.sqrt(inner / phi) - (g2 - g1)) / (2.0 * (g1 - phi))
-    b3 = rate_ceiling_two_user(g1, g2, phi, p)
+    b3 = _ceiling(_finite_psi(g1, g2, phi, p), g1, g2, phi, p)
     return b1, b2, b3
 
 

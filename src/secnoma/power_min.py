@@ -224,96 +224,3 @@ def select_users(channel: ChannelRealization, req: SecrecyRequirement) -> UserSe
         return UserSelection((), None)
     sub = ChannelRealization(tuple(channel.user_gains[k - 1] for k in selected), channel.eaves_avg_gain)
     return UserSelection(selected, solve_min_power(sub, req))
-
-
-def bruteforce_min_power(
-    channel: ChannelRealization,
-    req: SecrecyRequirement,
-    grid_step: float,
-    grid_max: float = 2.0,
-):
-    """Exhaustive grid search over positive power vectors (step-spaced up to
-    grid_max per user) meeting every outage constraint. Returns (total, point)
-    of the cheapest feasible grid point, or (None, None). K <= 3 only.
-    """
-    if channel.num_users > 3:
-        raise ValueError("grid oracle supports at most 3 users")
-    if not (grid_step > 0 and grid_max > grid_step):
-        raise ValueError("need 0 < grid_step < grid_max")
-    gains = channel.user_gains
-    num = channel.num_users
-    phi = req.stringency(channel)
-    rho = 2.0 ** req.qos_rate
-    axis = np.arange(1, int(round(grid_max / grid_step)) + 1) * grid_step
-
-    def last_user_ok(p):
-        # no interference left after full SIC
-        return 1.0 + gains[num - 1] * p - rho >= phi * rho * p
-
-    def inner_ok(k, own, interf):
-        g = gains[k - 1]
-        s_here = own + interf
-        ratio = (1.0 + g * s_here) / (1.0 + g * interf)
-        den = rho * s_here - ratio * interf
-        return (den > 0.0) & (ratio - rho >= phi * den)
-
-    best_total = None
-    best_point = None
-
-    if num == 1:
-        ok = last_user_ok(axis)
-        if np.any(ok):
-            i = int(np.argmax(ok))  # axis ascending, first hit is cheapest
-            best_total, best_point = float(axis[i]), (float(axis[i]),)
-        return best_total, best_point
-
-    ok_last = last_user_ok(axis)
-    if num == 2:
-        for p2 in axis[ok_last]:
-            if best_total is not None and p2 >= best_total:
-                break  # axis ascends; no cheaper total can follow
-            ok = inner_ok(1, axis, p2)
-            if not np.any(ok):
-                continue
-            total = axis[ok][0] + p2  # cheapest feasible p1 for this p2
-            if best_total is None or total < best_total:
-                best_total = float(total)
-                best_point = (float(axis[ok][0]), float(p2))
-        return best_total, best_point
-
-    for p3 in axis[ok_last]:
-        if best_total is not None and p3 >= best_total:
-            break
-        for p2 in axis:
-            if best_total is not None and p2 + p3 >= best_total:
-                break
-            if not bool(inner_ok(2, p2, p3)):
-                continue
-            ok = inner_ok(1, axis, p2 + p3)
-            if not np.any(ok):
-                continue
-            total = axis[ok][0] + p2 + p3
-            if best_total is None or total < best_total:
-                best_total = float(total)
-                best_point = (float(axis[ok][0]), float(p2), float(p3))
-    return best_total, best_point
-
-
-def verify_optimality_bruteforce(
-    channel: ChannelRealization,
-    req: SecrecyRequirement,
-    grid_step: float,
-    grid_max: float = 2.0,
-) -> float:
-    """Relative gap (grid optimum - closed form) / closed form.
-
-    Nonnegative up to grid quantization when the recursion is truly optimal;
-    raises on instances the closed form declares infeasible.
-    """
-    solution = solve_min_power(channel, req)
-    if isinstance(solution, InfeasibleVerdict):
-        raise ValueError("instance is infeasible; nothing to verify")
-    grid_total, _ = bruteforce_min_power(channel, req, grid_step, grid_max)
-    if grid_total is None:
-        raise ValueError("grid too small or too coarse: no feasible grid point found")
-    return (grid_total - solution.total_power_mw) / solution.total_power_mw

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_module
-from .channel import ChannelRealization, _exp_draws
-
-np = lazy_module("numpy")
+from .channel import ChannelRealization
 
 
 @dataclass(frozen=True)
@@ -192,45 +189,3 @@ def secrecy_outage_for_order(
     return _outage_closed_form(
         g_t, alloc.powers_mw[position - 1], _suffix_power(alloc, position), eaves_avg_gain, q
     )
-
-
-_CHUNK = 1 << 17
-
-
-def empirical_outage(
-    channel: ChannelRealization,
-    alloc: PowerAllocation,
-    rate_pairs: list[RatePair],
-    k: int,
-    trials: int,
-    seed: int,
-) -> float:
-    """Monte Carlo estimate of the secrecy outage of message k.
-
-    Draws eavesdropper gains by analytic inversion of the exponential CDF on
-    splittable sub-streams (one per fixed-size chunk), so the estimate is
-    deterministic in (trials, seed) no matter how chunks would be scheduled.
-    """
-    _check_user_index(k, channel.num_users)
-    if len(rate_pairs) != channel.num_users:
-        raise ValueError("one rate pair per user required")
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    pair = rate_pairs[k - 1]
-    margin = pair.codeword_rate - pair.confidential_rate
-    threshold = 2.0 ** margin - 1.0
-    p_k = alloc.powers_mw[k - 1]
-    s_next = _suffix_power(alloc, k)
-
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(int(seed)).spawn(n_chunks)
-    hits = 0
-    left = trials
-    for child in children:
-        n = min(_CHUNK, left)
-        left -= n
-        rng = np.random.Generator(np.random.Philox(child))
-        ge = _exp_draws(rng, channel.eaves_avg_gain, n)
-        sinr = ge * p_k / (1.0 + ge * s_next)
-        hits += int(np.count_nonzero(sinr > threshold))
-    return hits / trials

@@ -24,7 +24,6 @@ from secnoma import (
     SweepAxis,
     SweepSpec,
     check_positive_rate_feasibility,
-    empirical_outage,
     max_codeword_rate,
     noma_rate_region_boundary,
     optimal_power_ratio_user1,
@@ -35,9 +34,9 @@ from secnoma import (
     solve_maxmin_two_user,
     solve_min_power,
     tdma_maxmin,
-    verify_optimality_bruteforce,
     write_results,
 )
+from oracles import empirical_outage, verify_optimality_bruteforce
 
 EPS_E1 = math.exp(-1.0)
 

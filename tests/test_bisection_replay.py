@@ -246,3 +246,129 @@ def test_fine_tolerance_that_closes_is_unchanged():
     rows = [[1.0001 * phi, 3.0 * phi], [1.001 * phi]]
     assert tol <= math.ulp(math.log2(1.0 + rows[0][0] * budget))
     assert _check_against_oracle(rows, eaves, eps, budget, tol) == 2
+
+
+# Two-user rows take their windows from the closed-form optimum instead of
+# Newton's method; the tests below hold that path to the same contract.
+
+
+def _two_user_rows(seed=11, trials=500):
+    """Sampled gain rows of the eps_sweep geometry (two users at 50 m, the
+    eavesdropper at 80 m) and its eavesdropper gain."""
+    geometry = NetworkGeometry((50.0, 50.0), 80.0, 4.0, 1e-7, 1e-7)
+    return sample_trial_gains(geometry, trial_seeds(seed, trials)).tolist(), geometry.eaves_avg_gain()
+
+
+@pytest.mark.parametrize("shift", _WRONG_SEEDS.values(), ids=_WRONG_SEEDS)
+def test_bad_seed_is_harmless_on_two_users(monkeypatch, shift):
+    seed, seed_rows = maxmin._seed, maxmin._seed_rows
+    monkeypatch.setattr(maxmin, "_seed", lambda *args: shift(seed(*args)))
+    monkeypatch.setattr(maxmin, "_seed_rows", lambda *args: shift(seed_rows(*args)))
+    rows, eaves = _two_user_rows(trials=80)
+    for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
+        assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
+
+
+@st.composite
+def _two_user_instances(draw):
+    # as _instances, with exactly two users a row, so every batch is one the
+    # closed form seeds; the strong gain reaches six decades above the weak
+    # one and the stringency six decades below it
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    pair = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 6.0))
+    rows = [sorted((scale * 10.0**a, scale * 10.0 ** (a + b))) for a, b in draw(st.lists(pair, min_size=1, max_size=6))]
+    budget = 10.0 ** (draw(st.floats(-20.0, 50.0)) / 10.0)
+    ulp = max(math.ulp(math.log2(1.0 + row[0] * budget)) for row in rows)
+    tol = max(10.0 ** draw(st.floats(-17.0, -2.0)), draw(st.integers(2, 8)) * ulp)
+    return rows, scale * 10.0 ** draw(st.floats(-6.0, 1.0)), draw(st.floats(0.02, 0.6)), budget, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_user_instances())
+def test_two_user_replay_equals_plain_bisection(instance):
+    assume(_check_against_oracle(*instance))
+
+
+def test_two_users_take_no_newton_step(monkeypatch):
+    newton_rows = maxmin._newton_rows
+    batches = []
+
+    def no_newton(*args):
+        raise AssertionError("a two-user row ran Newton's method")
+
+    def count_newton_rows(gains, *args):
+        batches.append(gains.shape)
+        return newton_rows(gains, *args)
+
+    monkeypatch.setattr(maxmin, "_newton", no_newton)
+    monkeypatch.setattr(maxmin, "_newton_rows", count_newton_rows)
+    rows, eaves = _two_user_rows(trials=60)
+    assert _check_against_oracle(rows, eaves, 0.25, 100.0, 1e-10)
+    assert batches == []
+    # a one-user row pads the batch, which then keeps Newton's method
+    gains, phis = _batch(rows + [[rows[0][1]]], eaves, 0.25)
+    _bisect_rows(gains, phis, 100.0, 1e-10, _tdma_maxmin_rows(gains, phis, 100.0)[0])
+    assert batches == [gains.shape]
+
+
+def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
+    """At most six exact tests per row on average, on both paths, at three
+    outage bounds of the eps_sweep study (budget 20 dBm)."""
+    calls = {"pow": 0, "recursion": 0}
+    pow2_each, recursion = maxmin._pow2_each, maxmin._recursion
+
+    def count_pow(q):
+        calls["pow"] += q.size
+        return pow2_each(q)
+
+    def count_recursion(*args):
+        calls["recursion"] += 1
+        return recursion(*args)
+
+    monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
+    monkeypatch.setattr(maxmin, "_recursion", count_recursion)
+    rows, eaves = _two_user_rows(trials=600)
+    budget, solved = 100.0, 0
+    for eps in (0.05, 0.25, 0.45):
+        gains, phis = _batch(rows, eaves, eps)
+        calls["pow"] = 0
+        _bisect_rows(gains, phis, budget, 1e-10, _tdma_maxmin_rows(gains, phis, budget)[0])
+        assert calls["pow"] / len(gains) <= 6.0
+        calls["recursion"] = 0
+        for row in gains.tolist():
+            solve_maxmin_bisection(ChannelRealization(tuple(row), eaves), eps, budget)
+        assert calls["recursion"] / len(gains) <= 6.0
+        solved += len(gains)
+    assert solved > 1000
+
+
+def _window_certified(gains, phi, budget):
+    """Which rows of a two-user batch get a certified window."""
+    pad = np.zeros((len(gains), 0), dtype=bool)
+    hi = _log2_each(1.0 + gains[:, 0] * budget)
+    floor, _ = _tdma_maxmin_rows(gains, phi, budget)
+    return np.isfinite(_window_rows(gains, phi, pad, budget, hi, floor)[0])
+
+
+def test_closed_form_certifies_wherever_newton_does(monkeypatch):
+    # broad rows: gains over twelve decades, the strong one up to six
+    # decades above the weak one, and the stringency down to 1e-6 of it
+    rng = np.random.default_rng(2024)
+    for budget in (1e-2, 1.0, 1e2, 1e4):
+        g1 = 10.0 ** rng.uniform(-6.0, 6.0, 20000)
+        phi = g1 * 10.0 ** rng.uniform(-6.0, 0.0, g1.size)
+        gains = np.stack((g1, g1 * 10.0 ** rng.uniform(0.0, 6.0, g1.size)), axis=1)[g1 > phi]
+        phi = phi[g1 > phi]
+        closed = _window_certified(gains, phi, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
+            newton = _window_certified(gains, phi, budget)
+        assert newton.mean() > 0.95
+        assert not (newton & ~closed).any()
+
+
+def test_two_user_seed_beyond_the_float_range_is_harmless():
+    # the closed form's discriminant overflows at these gains, so the seed
+    # is no number and every midpoint takes the exact test
+    rows = [[1e110, 1e111], [1e160, 1e161], [1e300, 1e301]]
+    assert _check_against_oracle(rows, 1.0, 0.3, 1.0, 1e-10) == 3

@@ -133,6 +133,17 @@ def test_overflowing_input_is_one_line_error(args):
     assert err == "error: an input is too large: the arithmetic overflows\n"
 
 
+@pytest.mark.parametrize("gains_db", ["1100,1110", "1600,1610"])
+def test_overflowing_closed_form_is_one_line_error(gains_db):
+    # compare-oma solves two users in closed form, whose discriminant
+    # overflows here; max-min-rate bisects the same channel to a rate
+    rc, out, err = run_cli("compare-oma", "--gains-db", gains_db, "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: an input is too large: the arithmetic overflows\n"
+    rc, out, _ = run_cli("max-min-rate", "--gains-db", gains_db, "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3")
+    assert rc == EXIT_OK and "feasible: yes" in out
+
+
 def test_overflowing_sweep_is_one_line_error(tmp_path):
     # gains near 1e4 times a budget near 1e307: the bisection's bracket overflows
     cfg = tmp_path / "sweep.cfg"
@@ -304,6 +315,15 @@ def test_sweep_unknown_key_is_config_error(tmp_path, capsys):
         "(allowed: eps, gain_base_db, gain_slope_db, gamma_e_db, k)\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_dir/x.csv", "."], ids=["missing directory", "directory"])
+def test_sweep_unwritable_output_is_one_line_error(tmp_path, target):
+    out = tmp_path / target
+    rc, stdout, err = run_cli("sweep", "--config", str(_ROOT / "scripts/specs/power_vs_qos.spec"), "--out", str(out))
+    assert rc == EXIT_USAGE and stdout == ""
+    assert err.startswith("sweep output error: ") and err.count("\n") == 1
+    assert str(out) in err
 
 
 SHIPPED_SPECS = [path for folder in ("scripts", "perfbench") for path in sorted((_ROOT / folder / "specs").glob("*.spec"))]

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from secnoma import (
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
+from secnoma.maxmin import rate_ceiling_two_user
 
 EPS_E1 = math.exp(-1.0)
 
@@ -135,6 +137,46 @@ def test_bound_triple_worked_instance():
     assert b3 == pytest.approx(B3_STAR, abs=1e-12)
     sol = solve_maxmin_two_user(TWO_USER, EPS_E1, 1.0)
     assert sol.rate == pytest.approx(math.log2(b3), abs=1e-12)
+
+
+def _ceiling_reference(g1, g2, phi, p):
+    """b3 in the textbook form (psi - A) / (2 (1 + phi p)(g1 - phi)), with
+    A = (1 + phi p)(g2 - g1), in 60-digit decimal arithmetic: the few
+    digits lost to the subtraction leave far more than double precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g1, g2, phi, p = map(decimal.Decimal, (g1, g2, phi, p))
+        c = 1 + phi * p
+        psi = (c * (4 * (1 + g1 * p) * (g1 - phi) * (g2 - phi) + c * (g2 - g1) ** 2)).sqrt()
+        return (psi - c * (g2 - g1)) / (2 * c * (g1 - phi))
+
+
+def test_closed_form_matches_a_60_digit_reference():
+    # g2/g1 up to 1e6 and phi/g1 down to 1e-6, where the textbook form in
+    # doubles cancels to a relative error of about 1e-9
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(5000):
+        g1 = 10.0 ** rng.uniform(-6.0, 6.0)
+        g2 = g1 * 10.0 ** rng.uniform(0.0, 6.0)
+        phi = g1 * 10.0 ** rng.uniform(-6.0, 0.0)
+        p = 10.0 ** rng.uniform(-3.0, 3.0)
+        if not g1 > phi:
+            continue
+        exact = _ceiling_reference(g1, g2, phi, p)
+        worst = max(worst, abs(decimal.Decimal(rate_ceiling_two_user(g1, g2, phi, p)) - exact) / exact)
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("gain", [1e110, 1e160])
+def test_closed_forms_raise_where_they_overflow(gain):
+    # the discriminant overflows at these gains; inf, 0.0 or nan would
+    # otherwise come out (the bisection still solves them)
+    with pytest.raises(OverflowError, match="closed form overflows"):
+        solve_maxmin_two_user(ChannelRealization((gain, 10.0 * gain), 1.0), EPS_E1, 1.0)
+    for closed_form in (bound_triple, optimal_power_ratio_user1):
+        with pytest.raises(OverflowError, match="closed form overflows"):
+            closed_form(gain, 10.0 * gain, 1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

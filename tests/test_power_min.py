@@ -11,13 +11,12 @@ from secnoma import (
     InfeasibleVerdict,
     PowerMinSolution,
     SecrecyRequirement,
-    bruteforce_min_power,
     constraint_ratio,
     secrecy_outage_closed_form,
     select_users,
     solve_min_power,
-    verify_optimality_bruteforce,
 )
+from oracles import bruteforce_min_power, verify_optimality_bruteforce
 
 EPS_E1 = math.exp(-1.0)
 

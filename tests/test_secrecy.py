@@ -10,7 +10,6 @@ from secnoma import (
     RatePair,
     SecrecyRequirement,
     eaves_sinr,
-    empirical_outage,
     max_codeword_rate,
     optimal_decoding_order,
     secrecy_outage_closed_form,
@@ -18,6 +17,7 @@ from secnoma import (
     sinr_cross_message,
     sinr_own_message,
 )
+from oracles import empirical_outage
 
 EPS_E1 = math.exp(-1.0)  # outage bound that makes the stringency exactly the mean gain
 
