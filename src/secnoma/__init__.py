@@ -8,7 +8,6 @@ from .channel import (
     dbm_to_mw,
     linear_to_db,
     mw_to_dbm,
-    sample_gain_matrix,
     sample_realization,
     sample_trial_gains,
     trial_seeds,

@@ -103,16 +103,11 @@ class ChannelRealization:
         return len(self.user_gains)
 
 
-def _generator(seed):
-    # Philox is counter-based: distinct integer keys give independent streams,
-    # which keeps per-trial sampling parallel-safe and bit-reproducible.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
 # numpy's SeedSequence and Philox4x64-10 (Salmon et al., "Parallel Random
 # Numbers: As Easy as 1, 2, 3", SC'11) in whole-array arithmetic, so every
 # trial's stream is keyed and drawn at once: row i of `_trial_uniforms` equals
-# `_generator(seeds[i]).random(K)` bit for bit.
+# `Generator(Philox(SeedSequence(seeds[i]))).random(K)` bit for bit. Philox is
+# counter-based, so distinct keys give independent, reproducible streams.
 _MASK32 = 0xFFFFFFFF
 _SEED_RANGE = "fading seeds must be integers in [0, 2**64)"
 _POOL_HASH = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
@@ -237,20 +232,10 @@ def sample_realization(geometry: NetworkGeometry, seed: int) -> ChannelRealizati
     goes through numpy's own generator: the array kernel's fixed cost per
     call is far above one stream's.
     """
-    u = _generator(_seed_array([seed])[0]).random((1, geometry.num_users))
+    key = np.random.SeedSequence(int(_seed_array([seed])[0]))
+    u = np.random.Generator(np.random.Philox(key)).random((1, geometry.num_users))
     gains = _gains_from_uniforms(geometry, u)[0]
     return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
-
-
-def sample_gain_matrix(geometry: NetworkGeometry, seed: int, trials: int) -> np.ndarray:
-    """Vectorized batch of `trials` realizations, one row per draw (rows sorted).
-
-    Single Philox stream; meant for distribution checks and bulk statistics
-    where per-trial stream isolation is not needed.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    return _gains_from_uniforms(geometry, _generator(seed).random((trials, geometry.num_users)))
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:

@@ -377,13 +377,14 @@ def _finite_psi(g1, g2, phi, p):
     return psi
 
 
-def _split_terms(g1, g2, phi, p):
-    """psi, the numerator of the weak user's optimal power, and the bracketed
-    factor of its denominator (2 * factor for the power, 2 * p * factor for
-    the budget share)."""
-    psi = _finite_psi(g1, g2, phi, p)
-    num = (1.0 + phi * p) * (g2 + g1 * (1.0 + 2.0 * g2 * p) - 2.0 * phi * (1.0 + g1 * p)) - psi
-    return psi, num, (1.0 + phi * p) * g1 * g2 - phi * phi * (1.0 + g1 * p)
+def _weak_power(psi, g1, g2, phi, p):
+    # (B - psi) / (2 D) with B = (1 + phi p)((g1 - phi) + g1 p (g2 - phi) + S),
+    # S = (1 + g1 p)(g2 - phi) and D = (1 + phi p) g1 g2 - phi^2 (1 + g1 p),
+    # times (B + psi) / (B + psi): B^2 - psi^2 = 4 p (1 + phi p) S D, so no
+    # near-equal terms are subtracted when g1 p is small
+    c = 1.0 + phi * p
+    s = (1.0 + g1 * p) * (g2 - phi)
+    return 2.0 * p * c * s / (c * ((g1 - phi) + g1 * p * (g2 - phi) + s) + psi)
 
 
 def solve_maxmin_two_user(
@@ -401,10 +402,11 @@ def solve_maxmin_two_user(
     g1, g2 = channel.user_gains
     phi = _stringency(channel.eaves_avg_gain, eps)
     p = power_budget_mw
-    psi, num, core = _split_terms(g1, g2, phi, p)
-    den = 2.0 * core
-    p1 = num / den
-    p2 = (psi - (g1 + g2) - phi * (g2 * p - g1 * p - 2.0)) / den
+    psi = _finite_psi(g1, g2, phi, p)
+    p1 = _weak_power(psi, g1, g2, phi, p)
+    # (psi - C) / (2 D) with C = (g1 - phi) + (g2 - phi) + phi p (g2 - g1),
+    # times (psi + C) / (psi + C): psi^2 - C^2 = 4 p (g1 - phi) D
+    p2 = 2.0 * p * (g1 - phi) / (psi + (g1 - phi) + (g2 - phi) + phi * p * (g2 - g1))
     rate = math.log2(_ceiling(psi, g1, g2, phi, p))
     return MaxMinSolution(rate, PowerAllocation((p1, p2)), 0)
 
@@ -432,8 +434,11 @@ def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, flo
     if not (g2 >= g1 > phi > 0.0):
         raise ValueError("need gains above stringency, ascending")
     b1 = g2 / phi
-    inner = 4.0 * phi * phi * g1 - 3.0 * phi * g1 * g1 - 6.0 * phi * g1 * g2 + 4.0 * g1 * g1 * g2 + phi * g2 * g2
-    b2 = (math.sqrt(inner / phi) - (g2 - g1)) / (2.0 * (g1 - phi))
+    # (R - (g2 - g1)) / (2 (g1 - phi)) with R^2 = 4 g1 (g1 - phi)(g2 - phi) / phi
+    # + (g2 - g1)^2, times (R + (g2 - g1)) / (R + (g2 - g1)) as in _ceiling
+    spread = g2 - g1
+    root = math.sqrt(4.0 * g1 * (g1 - phi) * (g2 - phi) / phi + spread * spread)
+    b2 = 2.0 * g1 * (g2 - phi) / (phi * (root + spread))
     b3 = _ceiling(_finite_psi(g1, g2, phi, p), g1, g2, phi, p)
     return b1, b2, b3
 
@@ -448,5 +453,4 @@ def optimal_power_ratio_user1(g1: float, g2: float, phi: float, p: float) -> flo
         raise ValueError("need gains above stringency, ascending")
     if not (p > 0):
         raise ValueError("budget must be positive")
-    _, num, core = _split_terms(g1, g2, phi, p)
-    return num / (2.0 * p * core)
+    return _weak_power(_finite_psi(g1, g2, phi, p), g1, g2, phi, p) / p

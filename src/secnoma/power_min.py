@@ -80,18 +80,18 @@ def _recursion(gains, phi, rho):
     return powers, None, None
 
 
-def _recursion_rows(gains, phi, rho, pad=None):
+def _recursion_rows(gains, phi, rho, pad):
     """`_recursion` on every row of an (M, K) gain matrix at once, with one phi
     and one rho per row. Returns (powers, ok): powers of rows where ok is False
     are meaningless. Same operations in the same order as the scalar version,
     so feasible rows match it bit for bit.
 
-    pad, if given, is an (M, W) mask of the leading columns that hold no user
-    (a row with fewer users sits in the last columns): such a column gets
-    exactly 0.0 power and never fails, so row sums are unchanged.
+    pad is an (M, W) mask of the leading columns that hold no user (a row
+    with fewer users sits in the last columns; W may be 0): such a column
+    gets exactly 0.0 power and never fails, so row sums are unchanged.
     """
     num = gains.shape[1]
-    padded = 0 if pad is None else pad.shape[1]
+    padded = pad.shape[1]
     powers = np.empty_like(gains)
     rho_m1 = rho - 1.0
     phi_rho = phi * rho

@@ -248,6 +248,60 @@ def test_fine_tolerance_that_closes_is_unchanged():
     assert _check_against_oracle(rows, eaves, eps, budget, tol) == 2
 
 
+# The Newton seeds start from the feasible TDMA floor inside the solvers;
+# the tests below drive their other branches: an infeasible start that is
+# halved, a start outside (0, hi), and a seed that does not settle.
+
+
+def _newton_cases(seed=7, trials=100):
+    """Per (eps, budget) point, the feasible sampled rows with K = 3..8 as
+    lists and as one padded batch, with phi and each row's hi."""
+    rows, eaves = _standard_rows(seed, trials)
+    rows = [row for row in rows if len(row) >= 3]
+    for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
+        budget = 10.0 ** (p_dbm / 10.0)
+        gains, phis = _batch(rows, eaves, eps)
+        feasible = [row for row in rows if row[0] > phis[0]]
+        pad = np.isinf(gains[:, :-1])
+        pad = pad[:, : int(pad.any(axis=0).sum())]
+        hi = _log2_each(1.0 + gains.min(axis=1) * budget)
+        yield feasible, gains, phis, pad, budget, hi
+
+
+def test_newton_from_an_infeasible_start():
+    # from 0.999 hi the start reads infeasible and is halved until it fits;
+    # when the switch lies below hi / 256, the halvings can use up
+    # _NEWTON_EVALS, and the seed is then nan (no window)
+    close = []
+    for rows, gains, phis, pad, budget, hi in _newton_cases():
+        phi = float(phis[0])
+        switch = np.array([_plain_bisection(row, phi, budget, 1e-13)[0] for row in rows])
+        scalar = np.array([maxmin._newton(row, phi, budget, h, 0.999 * h) for row, h in zip(rows, hi.tolist())])
+        batch = maxmin._newton_rows(gains, phis, pad, budget, hi, 0.999 * hi)
+        for seeds in (scalar, batch):
+            close.append(np.abs(seeds - switch) <= 1e-11)
+            assert (close[-1] | (np.isnan(seeds) & (switch < hi / 256.0))).all()
+    close = np.concatenate(close)
+    assert close.size > 800 and close.mean() > 0.98
+
+
+def test_newton_outside_the_bracket_is_nan():
+    for rows, gains, phis, pad, budget, hi in _newton_cases(trials=20):
+        for start in (np.zeros_like(hi), hi):
+            for row, h, q in zip(rows, hi.tolist(), start.tolist()):
+                assert math.isnan(maxmin._newton(row, float(phis[0]), budget, h, q))
+            assert np.isnan(maxmin._newton_rows(gains, phis, pad, budget, hi, start)).all()
+
+
+def test_unsettled_newton_seed_is_harmless(monkeypatch):
+    # one evaluation does not settle, so the rows Newton seeds get no
+    # window and take an exact test at every midpoint
+    monkeypatch.setattr(maxmin, "_NEWTON_EVALS", 1)
+    rows, eaves = _standard_rows()
+    for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
+        assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
+
+
 # Two-user rows take their windows from the closed-form optimum instead of
 # Newton's method; the tests below hold that path to the same contract.
 

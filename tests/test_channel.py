@@ -14,8 +14,8 @@ from secnoma import (
     dbm_to_mw,
     linear_to_db,
     mw_to_dbm,
-    sample_gain_matrix,
     sample_realization,
+    sample_trial_gains,
     trial_seeds,
 )
 
@@ -97,24 +97,24 @@ def test_distance_scaling_same_seed():
 def test_gain_matrix_matches_per_trial_statistics():
     geom = NetworkGeometry((50.0,), 80.0, 4.0, 1e-7, 1e-7)
     scale = 50.0 ** -4 / 1e-7
-    draws = sample_gain_matrix(geom, 7, 1_000_000)[:, 0]
+    draws = sample_trial_gains(geom, trial_seeds(7, 1_000_000))[:, 0]
     assert draws.mean() == pytest.approx(scale, rel=0.01)
 
 
 def test_gain_matrix_is_frozen():
-    # the batch sampler's stream and gain transform, bit for bit
+    # the per-trial streams and gain transform, bit for bit
     geom = NetworkGeometry((30.0, 80.0, 50.0), 80.0, 4.0, 1e-7, 1e-7)
-    digest = hashlib.sha256(sample_gain_matrix(geom, 7, 1000).tobytes()).hexdigest()
-    assert digest == "036fa89a2b113ccb13fea75757115be7208a00533aad5922b27df38e7ea30fd0"
+    digest = hashlib.sha256(sample_trial_gains(geom, trial_seeds(7, 1000)).tobytes()).hexdigest()
+    assert digest == "2134a563c93584a6ba9b77d2a39a720dd0c9bd1c44458eb1d0efa1326281f991"
 
 
 def test_normalized_gain_is_unit_exponential():
     geom = NetworkGeometry((50.0, 20.0), 80.0, 4.0, 1e-7, 1e-7)
-    draws = sample_gain_matrix(geom, 11, 200_000)
+    draws = sample_trial_gains(geom, trial_seeds(11, 200_000))
     # undo sorting bias by normalizing the per-user columns jointly:
     # regenerate unsorted by using a single-user geometry instead
     single = NetworkGeometry((20.0,), 80.0, 4.0, 1e-7, 1e-7)
-    x = sample_gain_matrix(single, 11, 200_000)[:, 0] * 1e-7 * 20.0 ** 4
+    x = sample_trial_gains(single, trial_seeds(11, 200_000))[:, 0] * 1e-7 * 20.0 ** 4
     stat = scipy.stats.kstest(x, "expon").statistic
     assert stat < 0.01
     assert draws.shape == (200_000, 2)

@@ -244,6 +244,27 @@ def test_gain_sweep_equal_statistics_still_wins():
             assert r.value > 1.0
 
 
+def test_gain_sweep_point_without_a_feasible_trial():
+    # users and eavesdropper at equal statistics: no trial of 200 admits a
+    # positive common rate for four users, so the ratio has no mean to divide
+    spec = SweepSpec(
+        "gain_vs_K",
+        SweepAxis("k", 2, 4, 3),
+        {"d_user": 80.0, "d_eave": 80.0, "p_dbm": 20.0, "eps": 0.1},
+        trials=200,
+        seed=11,
+    )
+    rows = run_sweep(spec)
+    ratios = rows_for(rows, "noma", "rate_ratio")
+    assert [r.feasible_frac > 0.0 for r in ratios] == [True, True, False]
+    assert all(math.isfinite(r.value) for r in ratios[:2])
+    empty = ratios[2]
+    assert math.isnan(empty.value) and empty.stderr == 0.0 and empty.feasible_frac == 0.0
+    for scheme in ("noma", "tdma_opt", "tdma_eq"):
+        last = rows_for(rows, scheme, "avg_min_rate")[2]
+        assert (last.value, last.stderr, last.feasible_frac) == (0.0, 0.0, 0.0)
+
+
 def test_gain_sweep_rejects_fractional_axis():
     spec = SweepSpec(
         "gain_vs_K",

@@ -139,23 +139,30 @@ def test_bound_triple_worked_instance():
     assert sol.rate == pytest.approx(math.log2(b3), abs=1e-12)
 
 
-def _ceiling_reference(g1, g2, phi, p):
-    """b3 in the textbook form (psi - A) / (2 (1 + phi p)(g1 - phi)), with
-    A = (1 + phi p)(g2 - g1), in 60-digit decimal arithmetic: the few
-    digits lost to the subtraction leave far more than double precision."""
+def _two_user_reference(g1, g2, phi, p):
+    """b3, p1, p2, beta and b2 in their textbook forms, in 60-digit decimal
+    arithmetic: the digits lost to their subtractions leave far more than
+    double precision. b3 = (psi - A) / (2 (1 + phi p)(g1 - phi)) with
+    A = (1 + phi p)(g2 - g1)."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         g1, g2, phi, p = map(decimal.Decimal, (g1, g2, phi, p))
         c = 1 + phi * p
         psi = (c * (4 * (1 + g1 * p) * (g1 - phi) * (g2 - phi) + c * (g2 - g1) ** 2)).sqrt()
-        return (psi - c * (g2 - g1)) / (2 * c * (g1 - phi))
+        core = c * g1 * g2 - phi * phi * (1 + g1 * p)
+        p1 = (c * (g2 + g1 * (1 + 2 * g2 * p) - 2 * phi * (1 + g1 * p)) - psi) / (2 * core)
+        p2 = (psi - (g1 + g2) - phi * (g2 * p - g1 * p - 2)) / (2 * core)
+        inner = 4 * phi * phi * g1 - 3 * phi * g1 * g1 - 6 * phi * g1 * g2 + 4 * g1 * g1 * g2 + phi * g2 * g2
+        b2 = ((inner / phi).sqrt() - (g2 - g1)) / (2 * (g1 - phi))
+        return (psi - c * (g2 - g1)) / (2 * c * (g1 - phi)), p1, p2, p1 / p, b2
 
 
 def test_closed_form_matches_a_60_digit_reference():
-    # g2/g1 up to 1e6 and phi/g1 down to 1e-6, where the textbook form in
-    # doubles cancels to a relative error of about 1e-9
+    # g2/g1 up to 1e6 and phi/g1 down to 1e-6, where the textbook forms in
+    # doubles cancel to relative errors of about 1e-9 (b3, b2), 1e-7 (p1,
+    # beta) and 0.1 (p2)
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = [0.0] * 5
     for _ in range(5000):
         g1 = 10.0 ** rng.uniform(-6.0, 6.0)
         g2 = g1 * 10.0 ** rng.uniform(0.0, 6.0)
@@ -163,9 +170,17 @@ def test_closed_form_matches_a_60_digit_reference():
         p = 10.0 ** rng.uniform(-3.0, 3.0)
         if not g1 > phi:
             continue
-        exact = _ceiling_reference(g1, g2, phi, p)
-        worst = max(worst, abs(decimal.Decimal(rate_ceiling_two_user(g1, g2, phi, p)) - exact) / exact)
-    assert worst <= 1e-15
+        # the eavesdropper gain is the stringency itself at EPS_E1
+        sol = solve_maxmin_two_user(ChannelRealization((g1, g2), phi), EPS_E1, p)
+        got = (
+            rate_ceiling_two_user(g1, g2, phi, p),
+            *sol.allocation.powers_mw,
+            optimal_power_ratio_user1(g1, g2, phi, p),
+            bound_triple(g1, g2, phi, p)[1],
+        )
+        for i, (value, exact) in enumerate(zip(got, _two_user_reference(g1, g2, phi, p))):
+            worst[i] = max(worst[i], abs(decimal.Decimal(value) - exact) / exact)
+    assert max(worst) <= 1e-15
 
 
 @pytest.mark.parametrize("gain", [1e110, 1e160])

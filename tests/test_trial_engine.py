@@ -62,7 +62,7 @@ def test_trial_gains_rows_equal_single_draws(num):
     assert gains.shape == (len(seeds), num)
     for row, seed in zip(gains, seeds.tolist()):
         assert row.tobytes() == _numpy_gains(geometry, seed).tobytes()
-    # the single-instance path is the N=1 call of the same kernel
+    # the single-instance path draws the same stream through numpy's generator
     assert sample_realization(geometry, seeds[0]).user_gains == tuple(gains[0].tolist())
 
 
@@ -117,7 +117,7 @@ def test_recursion_rows_equal_scalar_recursion(num):
     gains = _random_gains(num, 500, rng)
     q = rng.uniform(0.0, 4.0, len(gains))
     phi = rng.uniform(0.3, 1.0, len(gains))
-    powers, ok = _recursion_rows(gains, phi, _pow2_each(q))
+    powers, ok = _recursion_rows(gains, phi, _pow2_each(q), np.zeros((len(gains), 0), dtype=bool))
     assert 0 < ok.sum() < len(gains)
     for row, phi_i, qi, got, got_ok in zip(gains.tolist(), phi.tolist(), q.tolist(), powers, ok):
         expected, _, _ = _recursion(row, phi_i, 2.0 ** qi)
