@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_module
 from .channel import ChannelRealization
-from .power_min import (
-    InfeasibleReason,
-    InfeasibleVerdict,
-    _recursion,
-    _recursion_rows,
-    _recursion_slope,
-    _recursion_slope_rows,
-)
+from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
 from .secrecy import PowerAllocation, _stringency
 
 np = lazy_module("numpy")
@@ -90,7 +83,7 @@ def solve_maxmin_bisection(
         raise OverflowError(_BRACKET_OVERFLOW)
     # the optimal-time TDMA rate (tdma_maxmin's) is a feasible floor
     slots = [_slot_rate_full(g, phi, power_budget_mw) for g in gains]
-    floor = 1.0 / sum(1.0 / c for c in slots) if min(slots) > 0.0 else 0.0
+    floor = _optimal_time(slots)[0] if min(slots) > 0.0 else 0.0
     lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
     narrow = _can_stall(tol, hi)
     iterations = 0
@@ -107,7 +100,7 @@ def solve_maxmin_bisection(
             hi = q
     if lo == 0.0:
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")
-    powers, _, _ = _recursion(gains, phi, 2.0 ** lo)
+    powers, _, _, _ = _recursion(gains, phi, 2.0 ** lo)
     return MaxMinSolution(lo, PowerAllocation(tuple(powers)), iterations)
 
 
@@ -125,6 +118,16 @@ def _slot_rate_full(gain, phi, p):
     return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
 
 
+def _optimal_time(slots):
+    """Common rate of optimal-time TDMA over positive per-slot rates, and
+    its slot fractions as a generator (the bisection needs only the rate):
+    fractions in proportion to 1/rate equalize the users' rates, which is
+    optimal because each is linear in its own fraction."""
+    weights = [1.0 / c for c in slots]
+    total = sum(weights)
+    return 1.0 / total, (w / total for w in weights)
+
+
 # The bisection's result depends only on where its float feasibility test
 # switches from accept to reject. An estimate r of that switch, checked by two
 # exact tests at r -/+ _WINDOW, lets every midpoint outside that window be
@@ -139,11 +142,18 @@ _NEWTON_STOP = 1e-13
 _LN2 = math.log(2.0)
 
 
-def _fits(gains, phi, power_budget_mw, q):
+def _fits(cols, phi, power_budget_mw, q, pad=None):
     """The bisection's exact test: the floor q has a minimum-power solution
-    that fits the budget."""
-    powers, _, _ = _recursion(gains, phi, 2.0 ** q)
-    return powers is not None and sum(powers) <= power_budget_mw
+    that fits the budget. On one instance's gains, or with a pad mask (see
+    `_recursion`) on the rows of the gain columns cols, with one floor per
+    row in q. Either way 2**q and the sum of the powers, column 0 first,
+    round as Python's `**` and sum() do on floats."""
+    if pad is None:
+        powers, _, _, _ = _recursion(cols, phi, 2.0 ** q)
+        return powers is not None and sum(powers) <= power_budget_mw
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        powers, _, _, ok = _recursion(cols, phi, _pow2_each(q), pad)
+        return ok & (sum(powers) <= power_budget_mw)
 
 
 def _seed(gains, phi, power_budget_mw, hi, q):
@@ -170,14 +180,13 @@ def _newton(gains, phi, power_budget_mw, hi, q):
         if not 0.0 < q < hi:
             break
         rho = 2.0 ** q
-        found = _recursion_slope(gains, phi, rho)
-        if found is None or found[0] > power_budget_mw:
+        _, total, slope, _ = _recursion(gains, phi, rho, tangent=True)
+        if total is None or total > power_budget_mw:
             if feasible:
                 return q
             q *= 0.5
             continue
         feasible = True
-        total, slope = found
         step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
         q += step
         if step < _NEWTON_STOP * max(1.0, q):
@@ -213,21 +222,6 @@ def _log2_each(x):
     return np.fromiter(map(math.log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
-def _sum_rows(a):
-    """Row sums of an (M, K) array in Python sum()'s order, column 0 first."""
-    total = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        total += a[:, k]
-    return total
-
-
-def _fits_rows(gains, phi, pad, power_budget_mw, q):
-    """`_fits` on every row, with one floor per row in q."""
-    powers, ok = _recursion_rows(gains, phi, _pow2_each(q), pad)
-    with np.errstate(invalid="ignore"):  # rows that failed may hold inf - inf
-        return ok & (_sum_rows(powers) <= power_budget_mw)
-
-
 def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     """`_seed` on every row, with numpy's log2: the seed only places the
     window, so it need not round like the exact test. A batch takes the
@@ -251,7 +245,7 @@ def _newton_rows(gains, phi, pad, power_budget_mw, hi, q):
             if not live.any():
                 break
             rho = np.exp2(q)
-            total, slope, ok = _recursion_slope_rows(gains, phi, rho, pad)
+            _, total, slope, ok = _recursion(gains.T, phi, rho, pad, tangent=True)
             fits = ok & (total <= power_budget_mw)
             step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
             ahead = q + step
@@ -269,9 +263,9 @@ def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     lo_e, hi_e = r - _WINDOW, r + _WINDOW
     certified = (0.0 < lo_e) & (hi_e < hi)
     rows = np.flatnonzero(certified)
-    gains, phi, pad = gains[rows], phi[rows], pad[rows]
-    accepts_lo = _fits_rows(gains, phi, pad, power_budget_mw, lo_e[rows])
-    certified[rows] = accepts_lo & ~_fits_rows(gains, phi, pad, power_budget_mw, hi_e[rows])
+    cols, phi, pad = gains[rows].T, phi[rows], pad[rows]
+    accepts_lo = _fits(cols, phi, power_budget_mw, lo_e[rows], pad)
+    certified[rows] = accepts_lo & ~_fits(cols, phi, power_budget_mw, hi_e[rows], pad)
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 
@@ -349,7 +343,7 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
                 break
             bits = bounds.view(np.int64)
         # every midpoint left lies inside its window: one exact step
-        accept = _fits_rows(gains, phi, pad, power_budget_mw, q)
+        accept = _fits(gains.T, phi, power_budget_mw, q, pad)
         _move(bits, q, np.stack((accept, ~accept)), narrow)
     if not (rate > 0.0).all():
         raise ValueError("tolerance too coarse to certify a positive rate at this budget")

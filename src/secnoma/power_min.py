@@ -8,16 +8,13 @@ set of strict denominator conditions checked as the recursion proceeds.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, max_codeword_rate
 
-np = lazy_module("numpy")
-
-# denominators this close to zero mean the required power diverges
+# denominators this close to zero, relative to the user's gain, mean the
+# required power diverges
 DENOM_TOL = 1e-12
 
 
@@ -60,115 +57,67 @@ def constraint_ratio(gain: float, q: float, own_power: float, interference_power
     return num / den
 
 
-def _recursion(gains, phi, rho):
-    """Backward power recursion. Returns (powers, None, None) on success or
-    (None, failing_user, reason) at the first denominator failure."""
-    num = len(gains)
-    powers = [0.0] * num
-    den_last = gains[num - 1] - phi * rho
-    if den_last <= DENOM_TOL:
-        return None, num, InfeasibleReason.USER_CONDITION_LAST
-    powers[num - 1] = (rho - 1.0) / den_last
-    suffix = powers[num - 1]
-    for k in range(num - 1, 0, -1):
-        g = gains[k - 1]
-        den = g * (1.0 - phi * (rho - 1.0) * suffix) - phi * rho
-        if den <= DENOM_TOL:
-            return None, k, InfeasibleReason.USER_CONDITION_INNER
-        powers[k - 1] = (rho - 1.0) * (1.0 + phi * suffix) * (1.0 + g * suffix) / den
-        suffix += powers[k - 1]
-    return powers, None, None
+def _recursion(cols, phi, rho, pad=None, tangent=False):
+    """Backward power recursion from the strongest user over K gain columns,
+    weakest first: floats for one instance, or (M,) arrays for M rows at
+    once (`gains.T`), with one phi and one rho per row. Each user's
+    denominator must exceed DENOM_TOL times its own gain, so the test does
+    not depend on the units of the gains.
 
-
-def _recursion_rows(gains, phi, rho, pad):
-    """`_recursion` on every row of an (M, K) gain matrix at once, with one phi
-    and one rho per row. Returns (powers, ok): powers of rows where ok is False
-    are meaningless. Same operations in the same order as the scalar version,
-    so feasible rows match it bit for bit.
+    Returns (powers, total, slope, ok): the K powers, weakest first; their
+    sum, strongest first; with tangent, the derivative of that sum in rho
+    (forward mode: each power's tangent is carried beside it through the
+    same steps; it steers the max-min Newton seed only, never a verdict),
+    else None; and whether every condition holds, a mask on
+    rows (the other outputs of its False rows are meaningless). One
+    instance instead stops at the first user whose condition fails and
+    returns (None, None, None, k) with that user's 1-based index k. Rows
+    and instances take the same operations in the same order, so they
+    agree bit for bit.
 
     pad is an (M, W) mask of the leading columns that hold no user (a row
     with fewer users sits in the last columns; W may be 0): such a column
-    gets exactly 0.0 power and never fails, so row sums are unchanged.
+    gets exactly 0.0 power and slope and never fails, so row sums are
+    unchanged. Without pad the columns are one instance, and numpy is
+    never loaded. Rows that fail may divide by zero or overflow on their
+    way, so call it on rows under `np.errstate` that ignores those.
     """
-    num = gains.shape[1]
-    padded = pad.shape[1]
-    powers = np.empty_like(gains)
+    scalar = pad is None
+    num = len(cols)
+    padded = 0 if scalar else pad.shape[1]
     rho_m1 = rho - 1.0
     phi_rho = phi * rho
     phi_rho_m1 = phi * rho_m1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = gains[:, num - 1] - phi_rho
-        ok = den > DENOM_TOL
-        suffix = rho_m1 / den
-        powers[:, num - 1] = suffix
-        for k in range(num - 1, 0, -1):
-            g = gains[:, k - 1]
-            den = g * (1.0 - phi_rho_m1 * suffix) - phi_rho
-            power = rho_m1 * (1.0 + phi * suffix) * (1.0 + g * suffix) / den
-            if k - 1 < padded:
-                ok &= (den > DENOM_TOL) | pad[:, k - 1]
-                power[pad[:, k - 1]] = 0.0
-            else:
-                ok &= den > DENOM_TOL
-            powers[:, k - 1] = power
-            suffix += power
-    return powers, ok
-
-
-# Forward-mode derivatives of the recursion in rho: each power's tangent is
-# carried beside it through the same steps. They steer the max-min Newton
-# seed only, never a feasibility verdict.
-def _recursion_slope(gains, phi, rho):
-    """Total power of `_recursion` and its derivative in rho, or None where
-    `_recursion` fails."""
-    num = len(gains)
-    rho_m1 = rho - 1.0
-    den = gains[num - 1] - phi * rho
-    if den <= DENOM_TOL:
-        return None
+    g = cols[num - 1]
+    den = g - phi_rho
+    ok = den > DENOM_TOL * g
+    if scalar and not ok:
+        return None, None, None, num
     suffix = rho_m1 / den
-    slope = (gains[num - 1] - phi) / den / den
-    for k in range(num - 1, 0, -1):
-        g = gains[k - 1]
-        den = g * (1.0 - phi * rho_m1 * suffix) - phi * rho
-        if den <= DENOM_TOL:
-            return None
-        d_den = -g * phi * (suffix + rho_m1 * slope) - phi
+    powers = [suffix] * num
+    slope = (g - phi) / den / den if tangent else None
+    for k in range(num - 2, -1, -1):
+        g = cols[k]
+        den = g * (1.0 - phi_rho_m1 * suffix) - phi_rho
+        fits = den > DENOM_TOL * g
+        if scalar:
+            if not fits:
+                return None, None, None, k + 1
+        else:
+            ok &= (fits | pad[:, k]) if k < padded else fits
         own, cross = 1.0 + phi * suffix, 1.0 + g * suffix
         power = rho_m1 * own * cross / den
-        slope += (own * cross + rho_m1 * slope * (phi * cross + g * own) - power * d_den) / den
-        suffix += power
-    return suffix, slope
-
-
-def _recursion_slope_rows(gains, phi, rho, pad):
-    """`_recursion_slope` on every row of an (M, K) gain matrix, with pad as
-    in `_recursion_rows`. Returns (total, slope, ok); totals and slopes of
-    rows where ok is False are meaningless."""
-    num = gains.shape[1]
-    padded = pad.shape[1]
-    rho_m1 = rho - 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = gains[:, num - 1] - phi * rho
-        ok = den > DENOM_TOL
-        suffix = rho_m1 / den
-        slope = (gains[:, num - 1] - phi) / den / den
-        for k in range(num - 1, 0, -1):
-            g = gains[:, k - 1]
-            den = g * (1.0 - phi * rho_m1 * suffix) - phi * rho
+        if tangent:
             d_den = -g * phi * (suffix + rho_m1 * slope) - phi
-            own, cross = 1.0 + phi * suffix, 1.0 + g * suffix
-            power = rho_m1 * own * cross / den
             d_power = (own * cross + rho_m1 * slope * (phi * cross + g * own) - power * d_den) / den
-            if k - 1 < padded:
-                ok &= (den > DENOM_TOL) | pad[:, k - 1]
-                power[pad[:, k - 1]] = 0.0
-                d_power[pad[:, k - 1]] = 0.0
-            else:
-                ok &= den > DENOM_TOL
-            suffix += power
-            slope += d_power
-    return suffix, slope, ok
+            if k < padded:
+                d_power[pad[:, k]] = 0.0
+            slope = slope + d_power
+        if k < padded:
+            power[pad[:, k]] = 0.0
+        powers[k] = power
+        suffix = suffix + power
+    return powers, suffix, slope, ok
 
 
 def solve_min_power(
@@ -182,8 +131,10 @@ def solve_min_power(
     """
     phi = req.stringency(channel)
     rho = 2.0 ** req.qos_rate
-    powers, failing, reason = _recursion(channel.user_gains, phi, rho)
+    powers, _, _, failing = _recursion(channel.user_gains, phi, rho)
     if powers is None:
+        last = failing == channel.num_users
+        reason = InfeasibleReason.USER_CONDITION_LAST if last else InfeasibleReason.USER_CONDITION_INNER
         return InfeasibleVerdict(frozenset({failing}), reason)
 
     alloc = PowerAllocation(tuple(powers))
@@ -218,8 +169,8 @@ def select_users(channel: ChannelRealization, req: SecrecyRequirement) -> UserSe
     eligible = [k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] > threshold]
     if not eligible:
         return UserSelection((), None)
-    _, failing, _ = _recursion([channel.user_gains[k - 1] for k in eligible], phi, rho)
-    selected = tuple(eligible[failing or 0 :])
+    powers, _, _, failing = _recursion([channel.user_gains[k - 1] for k in eligible], phi, rho)
+    selected = tuple(eligible if powers is not None else eligible[failing:])
     if not selected:
         return UserSelection((), None)
     sub = ChannelRealization(tuple(channel.user_gains[k - 1] for k in selected), channel.eaves_avg_gain)

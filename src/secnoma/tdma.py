@@ -14,13 +14,13 @@ from .maxmin import (
     DEFAULT_TOL,
     _BRACKET_OVERFLOW,
     _log2_each,
+    _optimal_time,
     _slot_rate_full,
-    _sum_rows,
     check_positive_rate_feasibility,
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
-from .power_min import DENOM_TOL, InfeasibleReason, InfeasibleVerdict
+from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
 from .secrecy import _stringency
 
 np = lazy_module("numpy")
@@ -97,10 +97,8 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
         return TdmaMaxMin(weakest / num, equal)
     if weakest <= 0.0:
         return TdmaMaxMin(0.0, equal)
-    weights = [1.0 / c for c in full]
-    total = sum(weights)
-    fractions = tuple(w / total for w in weights)
-    return TdmaMaxMin(1.0 / total, TimeAllocation(fractions))
+    rate, fractions = _optimal_time(full)
+    return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
 
 
 def _tdma_maxmin_rows(gains, phi, p_mw):
@@ -116,7 +114,7 @@ def _tdma_maxmin_rows(gains, phi, p_mw):
         full = np.where(full > 0.0, full, 0.0)
         weakest = full.min(axis=1)
         weights = 1.0 / full
-        rate_opt = np.where(weakest > 0.0, 1.0 / _sum_rows(weights), 0.0)
+        rate_opt = np.where(weakest > 0.0, 1.0 / sum(weights.T), 0.0)
     return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
 
 
@@ -127,19 +125,18 @@ def tdma_min_power(
 
     With a 1/K slot each user must hit K*q per slot; the per-slot power then
     has the same single-user closed form as the superposition scheme's
-    strongest user.
+    strongest user: each slot is a one-user recursion.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("QoS rate must be positive and finite")
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
     rho = 2.0 ** (num * q)
-    failing = frozenset(
-        k for k in range(1, num + 1) if channel.user_gains[k - 1] - phi * rho <= DENOM_TOL
-    )
+    alone = [_recursion((g,), phi, rho)[0] for g in channel.user_gains]
+    failing = frozenset(k for k, powers in enumerate(alone, 1) if powers is None)
     if failing:
         return InfeasibleVerdict(failing, InfeasibleReason.TDMA_QOS)
-    per_user = tuple((rho - 1.0) / (g - phi * rho) for g in channel.user_gains)
+    per_user = tuple(powers[0] for powers in alone)
     return TdmaMinPower(per_user, sum(per_user) / num, max(per_user))
 
 

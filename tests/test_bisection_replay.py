@@ -38,7 +38,7 @@ def _plain_bisection(gains, phi, budget, tol):
     while hi - lo >= tol:
         iterations += 1
         q = 0.5 * (lo + hi)
-        powers, _, _ = _recursion(gains, phi, 2.0 ** q)
+        powers, _, _, _ = _recursion(gains, phi, 2.0 ** q)
         if powers is not None and sum(powers) <= budget:
             lo, best = q, powers
         else:
@@ -142,7 +142,7 @@ def test_switch_within_ulps_of_a_midpoint():
     gains, budget, tol = [2.0, 5.0, 11.0], 3.0, 1e-10
 
     def fits(phi, q):
-        powers, _, _ = _recursion(gains, phi, 2.0**q)
+        powers, _, _, _ = _recursion(gains, phi, 2.0**q)
         return powers is not None and sum(powers) <= budget
 
     lo, hi = 0.0, math.log2(1.0 + gains[0] * budget)
@@ -163,19 +163,19 @@ def test_switch_within_ulps_of_a_midpoint():
 def test_replay_keeps_exact_tests_few(monkeypatch):
     """At most six exact tests per row on average, on both paths, against
     about 36 for the plain bisection."""
-    calls = {"pow": 0, "recursion": 0}
-    pow2_each, recursion = maxmin._pow2_each, maxmin._recursion
+    calls = {"pow": 0, "fits": 0}
+    pow2_each, fits = maxmin._pow2_each, maxmin._fits
 
     def count_pow(q):
         calls["pow"] += q.size
         return pow2_each(q)
 
-    def count_recursion(*args):
-        calls["recursion"] += 1
-        return recursion(*args)
+    def count_fits(*args):
+        calls["fits"] += 1
+        return fits(*args)
 
     monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
-    monkeypatch.setattr(maxmin, "_recursion", count_recursion)
+    monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _standard_rows(seed=11, trials=150)
     solved = 0
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
@@ -188,10 +188,10 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
         calls["pow"] = 0
         _bisect_rows(gains, phis, budget, 1e-10, _tdma_maxmin_rows(gains, phis, budget)[0])
         assert calls["pow"] / len(feasible) <= 6.0
-        calls["recursion"] = 0
+        calls["fits"] = 0
         for row in feasible:
             solve_maxmin_bisection(ChannelRealization(tuple(row), eaves), eps, budget)
-        assert calls["recursion"] / len(feasible) <= 6.0
+        assert calls["fits"] / len(feasible) <= 6.0
         solved += len(feasible)
     assert solved > 1000
 
@@ -368,19 +368,19 @@ def test_two_users_take_no_newton_step(monkeypatch):
 def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
     """At most six exact tests per row on average, on both paths, at three
     outage bounds of the eps_sweep study (budget 20 dBm)."""
-    calls = {"pow": 0, "recursion": 0}
-    pow2_each, recursion = maxmin._pow2_each, maxmin._recursion
+    calls = {"pow": 0, "fits": 0}
+    pow2_each, fits = maxmin._pow2_each, maxmin._fits
 
     def count_pow(q):
         calls["pow"] += q.size
         return pow2_each(q)
 
-    def count_recursion(*args):
-        calls["recursion"] += 1
-        return recursion(*args)
+    def count_fits(*args):
+        calls["fits"] += 1
+        return fits(*args)
 
     monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
-    monkeypatch.setattr(maxmin, "_recursion", count_recursion)
+    monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _two_user_rows(trials=600)
     budget, solved = 100.0, 0
     for eps in (0.05, 0.25, 0.45):
@@ -388,10 +388,10 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
         calls["pow"] = 0
         _bisect_rows(gains, phis, budget, 1e-10, _tdma_maxmin_rows(gains, phis, budget)[0])
         assert calls["pow"] / len(gains) <= 6.0
-        calls["recursion"] = 0
+        calls["fits"] = 0
         for row in gains.tolist():
             solve_maxmin_bisection(ChannelRealization(tuple(row), eaves), eps, budget)
-        assert calls["recursion"] / len(gains) <= 6.0
+        assert calls["fits"] / len(gains) <= 6.0
         solved += len(gains)
     assert solved > 1000
 

@@ -11,10 +11,12 @@ from secnoma import (
     InfeasibleVerdict,
     PowerMinSolution,
     SecrecyRequirement,
+    TdmaMinPower,
     constraint_ratio,
     secrecy_outage_closed_form,
     select_users,
     solve_min_power,
+    tdma_min_power,
 )
 from oracles import bruteforce_min_power, verify_optimality_bruteforce
 
@@ -225,3 +227,23 @@ def test_random_instances_active_and_ordered():
             out = secrecy_outage_closed_form(ch, sol.allocation, req.qos_rate, k)
             assert out == pytest.approx(req.outage_bound, abs=1e-9)
             assert sol.rate_pairs[k - 1].codeword_rate >= req.qos_rate - 1e-12
+
+
+def test_numpy_gains_design_like_python_floats():
+    # ChannelRealization takes numpy float64 gains, as drawn by numpy: the
+    # scalar designs must name the same failing users for the same reasons
+    # and give the same powers as on the Python floats they equal
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(400):
+        gains = np.sort(10.0 ** rng.uniform(0.0, 2.0, int(rng.integers(1, 6))))
+        eaves, q, eps = rng.uniform(0.1, 1.5), rng.uniform(0.1, 2.0), rng.uniform(0.05, 0.6)
+        req = SecrecyRequirement(q, eps)
+        drawn = ChannelRealization(tuple(gains), eaves)
+        floats = ChannelRealization(tuple(gains.tolist()), float(eaves))
+        assert isinstance(drawn.user_gains[0], np.float64)
+        for design in (solve_min_power, select_users, lambda ch, r: tdma_min_power(ch, r.qos_rate, r.outage_bound)):
+            got, want = design(drawn, req), design(floats, req)
+            assert got == want
+            outcomes.add(want.reason if isinstance(want, InfeasibleVerdict) else type(want))
+    assert outcomes >= {PowerMinSolution, TdmaMinPower, *InfeasibleReason} - {InfeasibleReason.POSITIVE_RATE}

@@ -24,8 +24,8 @@ from secnoma import (
 from secnoma import experiments
 from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
-from secnoma.maxmin import _log2_each, _pow2_each, _sum_rows
-from secnoma.power_min import _recursion, _recursion_rows
+from secnoma.maxmin import _log2_each, _pow2_each
+from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency
 
 USER_COUNTS = range(1, 9)
@@ -108,7 +108,7 @@ def test_row_helpers_round_like_python_floats():
     expected = np.array([[math.log2(v) for v in row] for row in x.tolist()])
     assert _log2_each(x).tobytes() == expected.tobytes()
     a = 10.0 ** rng.uniform(-6.0, 3.0, (20000, 8))
-    assert _sum_rows(a).tobytes() == np.array([sum(row) for row in a.tolist()]).tobytes()
+    assert sum(a.T).tobytes() == np.array([sum(row) for row in a.tolist()]).tobytes()
 
 
 @pytest.mark.parametrize("num", USER_COUNTS)
@@ -117,16 +117,20 @@ def test_recursion_rows_equal_scalar_recursion(num):
     gains = _random_gains(num, 500, rng)
     q = rng.uniform(0.0, 4.0, len(gains))
     phi = rng.uniform(0.3, 1.0, len(gains))
-    powers, ok = _recursion_rows(gains, phi, _pow2_each(q), np.zeros((len(gains), 0), dtype=bool))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        columns, _, _, ok = _recursion(gains.T, phi, _pow2_each(q), np.zeros((len(gains), 0), dtype=bool))
+    powers = np.column_stack(columns)
     assert 0 < ok.sum() < len(gains)
     for row, phi_i, qi, got, got_ok in zip(gains.tolist(), phi.tolist(), q.tolist(), powers, ok):
-        expected, _, _ = _recursion(row, phi_i, 2.0 ** qi)
+        expected, _, _, _ = _recursion(row, phi_i, 2.0 ** qi)
         assert got_ok == (expected is not None)
         if got_ok:
             assert got.tobytes() == np.array(expected).tobytes()
     # two padding columns on the left: exactly 0.0 power, same verdicts
     padded = np.hstack([np.full((len(gains), 2), np.inf), gains])
-    pad_powers, pad_ok = _recursion_rows(padded, phi, _pow2_each(q), np.isinf(padded[:, :2]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        columns, _, _, pad_ok = _recursion(padded.T, phi, _pow2_each(q), np.isinf(padded[:, :2]))
+    pad_powers = np.column_stack(columns)
     assert pad_ok.tobytes() == ok.tobytes()
     assert not pad_powers[pad_ok, :2].any()
     assert pad_powers[pad_ok, 2:].tobytes() == powers[ok].tobytes()
