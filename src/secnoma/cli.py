@@ -9,15 +9,8 @@ import argparse
 import json
 import sys
 
-from .channel import (
-    ChannelRealization,
-    NetworkGeometry,
-    db_to_linear,
-    dbm_to_mw,
-    mw_to_dbm,
-    sample_trial_gains,
-)
-from .experiments import SweepSpec, run_sweep, write_results
+from .channel import ChannelRealization, db_to_linear, dbm_to_mw, mw_to_dbm, sample_trial_gains
+from .experiments import _GEOMETRY_KEYS, SweepSpec, _geometry, run_sweep, write_results
 from .maxmin import DEFAULT_TOL, _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
 from .power_min import InfeasibleVerdict, solve_min_power
 from .secrecy import SecrecyRequirement, secrecy_outage_closed_form
@@ -42,8 +35,10 @@ def _add_channel_options(sub):
     sub.add_argument("--num-users", type=int, help="user count for the geometry path")
     sub.add_argument("--d-user", type=float, help="user distance, m (all users)")
     sub.add_argument("--d-eave", type=float, help="eavesdropper distance, m")
-    sub.add_argument("--alpha", type=float, default=4.0, help="path-loss exponent")
-    sub.add_argument("--noise-dbm", type=float, default=-70.0, help="user noise floor, dBm")
+    # the geometry options are named as the sweep spec's geometry keys, whose
+    # defaults they share
+    sub.add_argument("--alpha", type=float, help="path-loss exponent")
+    sub.add_argument("--noise-dbm", type=float, help="user noise floor, dBm")
     sub.add_argument("--eaves-noise-dbm", type=float, help="eavesdropper noise floor, dBm")
     sub.add_argument("--seed", type=int, default=0, help="fading seed for the geometry path")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -60,15 +55,8 @@ def _channel_from_args(args, parser) -> ChannelRealization:
         return ChannelRealization(tuple(gains), db_to_linear(args.eaves_db))
     if args.num_users is None or args.d_user is None or args.d_eave is None:
         parser.error("provide either --gains-db or --num-users/--d-user/--d-eave")
-    geometry = NetworkGeometry(
-        distances_user=(args.d_user,) * args.num_users,
-        distance_eaves=args.d_eave,
-        path_loss_exponent=args.alpha,
-        noise_user_mw=dbm_to_mw(args.noise_dbm),
-        noise_eaves_mw=dbm_to_mw(
-            args.eaves_noise_dbm if args.eaves_noise_dbm is not None else args.noise_dbm
-        ),
-    )
+    fixed = {key: value for key, value in vars(args).items() if key in _GEOMETRY_KEYS and value is not None}
+    geometry = _geometry(fixed, args.num_users)
     # the array kernel: equal to sample_realization's draw bit for bit, and
     # it needs no numpy.random
     gains = sample_trial_gains(geometry, [args.seed])[0]
@@ -195,8 +183,8 @@ def _read_config(path):
 def _cmd_sweep(args, parser):
     try:
         mapping = _read_config(args.config)
-        out = args.out or mapping.pop("out", None)
-        mapping.pop("out", None)
+        config_out = mapping.pop("out", None)
+        out = args.out or config_out
         if out is None:
             raise ValueError("no output path: pass --out or put 'out = ...' in the config")
         spec = SweepSpec.from_mapping(mapping)

@@ -35,31 +35,14 @@ from .tdma import TdmaMinPower, _tdma_maxmin_rows, tdma_maxmin, tdma_min_power
 
 np = lazy_module("numpy")
 
-SWEEP_KINDS = ("power_vs_Q", "rate_vs_P", "beta_vs_eps", "avg_rate_vs_eps", "gain_vs_K")
-
-_AXIS_FOR_KIND = {
-    "power_vs_Q": "q",
-    "rate_vs_P": "p_dbm",
-    "beta_vs_eps": "eps",
-    "avg_rate_vs_eps": "eps",
-    "gain_vs_K": "k",
-}
-
 CSV_HEADER = ("x", "scheme", "metric", "value", "stderr", "feasible_frac", "trials", "seed")
 
 # keys that are whole numbers by nature
 _INT_KEYS = {"k"}
 
-# the fixed keys each kind reads; any other key is a mistake
+# the fixed keys that set a fixed channel and a fading geometry
 _CHANNEL_KEYS = {"k", "gain_base_db", "gain_slope_db", "gamma_e_db"}
 _GEOMETRY_KEYS = {"d_user", "d_eave", "alpha", "noise_dbm", "eaves_noise_dbm"}
-_FIXED_KEYS = {
-    "power_vs_Q": _CHANNEL_KEYS | {"eps"},
-    "rate_vs_P": _CHANNEL_KEYS | {"eps", "tol"},
-    "beta_vs_eps": _CHANNEL_KEYS | {"p_dbm"},
-    "avg_rate_vs_eps": _GEOMETRY_KEYS | {"k", "p_dbm", "tol"},
-    "gain_vs_K": _GEOMETRY_KEYS | {"eps", "p_dbm", "tol"},
-}
 
 
 @dataclass(frozen=True)
@@ -89,7 +72,7 @@ class SweepAxis:
             points = [i / div * delta + self.start for i in range(self.steps)]
         else:
             points = [i * step + self.start for i in range(self.steps)]
-        points[-1] = self.stop
+        points[-1] = float(self.stop)
         return points
 
 
@@ -104,16 +87,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}; choose from {SWEEP_KINDS}")
-        if self.axis.name != _AXIS_FOR_KIND[self.kind]:
-            raise ValueError(
-                f"sweep kind {self.kind!r} varies {_AXIS_FOR_KIND[self.kind]!r}, "
-                f"not {self.axis.name!r}"
-            )
+        axis, allowed, _ = _KINDS[self.kind]
+        if self.axis.name != axis:
+            raise ValueError(f"sweep kind {self.kind!r} varies {axis!r}, not {self.axis.name!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        allowed = _FIXED_KEYS[self.kind]
         for key in self.fixed:
             if key not in allowed:
                 raise ValueError(f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
@@ -158,15 +138,10 @@ class AggregateResult:
             raise ValueError("feasible fraction must lie in [0, 1]")
 
 
-def _fixed_gains_db(fixed, num):
+def _fixed_channel(fixed) -> ChannelRealization:
     base = fixed.get("gain_base_db", 23.0)
     slope = fixed.get("gain_slope_db", 2.0)
-    return [base + slope * (k + 1) for k in range(num)]
-
-
-def _fixed_channel(fixed) -> ChannelRealization:
-    num = int(fixed.get("k", 2))
-    gains = sorted(db_to_linear(g) for g in _fixed_gains_db(fixed, num))
+    gains = sorted(db_to_linear(base + slope * (k + 1)) for k in range(int(fixed.get("k", 2))))
     return ChannelRealization(tuple(gains), db_to_linear(fixed["gamma_e_db"]))
 
 
@@ -180,30 +155,23 @@ def _geometry(fixed, num) -> NetworkGeometry:
     )
 
 
+def _fixed_row(spec, x, scheme, metric, value, ok):
+    """A fixed-channel study's row: one trial, so no spread."""
+    return AggregateResult(x, scheme, metric, value, 0.0, 1.0 if ok else 0.0, 1, spec.seed)
+
+
 def _run_power_vs_q(spec):
     channel = _fixed_channel(spec.fixed)
     eps = spec.fixed["eps"]
     rows = []
     for q in spec.axis.values():
-        q = float(q)
         sol = solve_min_power(channel, SecrecyRequirement(q, eps))
         ok = isinstance(sol, PowerMinSolution)
-        rows.append(
-            AggregateResult(
-                q, "noma", "total_power",
-                sol.total_power_mw if ok else math.nan,
-                0.0, 1.0 if ok else 0.0, 1, spec.seed,
-            )
-        )
+        rows.append(_fixed_row(spec, q, "noma", "total_power", sol.total_power_mw if ok else math.nan, ok))
         bench = tdma_min_power(channel, q, eps)
         ok = isinstance(bench, TdmaMinPower)
-        for metric, value in (
-            ("avg_power", bench.avg_power_mw if ok else math.nan),
-            ("peak_power", bench.peak_power_mw if ok else math.nan),
-        ):
-            rows.append(
-                AggregateResult(q, "tdma_eq", metric, value, 0.0, 1.0 if ok else 0.0, 1, spec.seed)
-            )
+        rows.append(_fixed_row(spec, q, "tdma_eq", "avg_power", bench.avg_power_mw if ok else math.nan, ok))
+        rows.append(_fixed_row(spec, q, "tdma_eq", "peak_power", bench.peak_power_mw if ok else math.nan, ok))
     return rows
 
 
@@ -213,23 +181,13 @@ def _run_rate_vs_p(spec):
     tol = spec.fixed.get("tol", DEFAULT_TOL)
     rows = []
     for p_dbm in spec.axis.values():
-        p_dbm = float(p_dbm)
         p = dbm_to_mw(p_dbm)
         sol = solve_maxmin_bisection(channel, eps, p, tol)
         ok = isinstance(sol, MaxMinSolution)
-        rows.append(
-            AggregateResult(
-                p_dbm, "noma", "min_rate",
-                sol.rate if ok else 0.0, 0.0, 1.0 if ok else 0.0, 1, spec.seed,
-            )
-        )
+        rows.append(_fixed_row(spec, p_dbm, "noma", "min_rate", sol.rate if ok else 0.0, ok))
         for scheme, mode in (("tdma_opt", "optimal_time"), ("tdma_eq", "equal_time")):
-            bench = tdma_maxmin(channel, eps, p, mode)
-            rows.append(
-                AggregateResult(
-                    p_dbm, scheme, "min_rate", bench.rate, 0.0, 1.0 if ok else 0.0, 1, spec.seed
-                )
-            )
+            rate = tdma_maxmin(channel, eps, p, mode).rate
+            rows.append(_fixed_row(spec, p_dbm, scheme, "min_rate", rate, ok))
     return rows
 
 
@@ -241,13 +199,10 @@ def _run_beta_vs_eps(spec):
     p = dbm_to_mw(spec.fixed["p_dbm"])
     rows = []
     for eps in spec.axis.values():
-        eps = float(eps)
         phi = _stringency(channel.eaves_avg_gain, eps)
-        if g1 <= phi:
-            rows.append(AggregateResult(eps, "noma", "beta1", math.nan, 0.0, 0.0, 1, spec.seed))
-        else:
-            beta = optimal_power_ratio_user1(g1, g2, phi, p)
-            rows.append(AggregateResult(eps, "noma", "beta1", beta, 0.0, 1.0, 1, spec.seed))
+        ok = g1 > phi
+        beta = optimal_power_ratio_user1(g1, g2, phi, p) if ok else math.nan
+        rows.append(_fixed_row(spec, eps, "noma", "beta1", beta, ok))
     return rows
 
 
@@ -324,7 +279,7 @@ def _run_avg_rate_vs_eps(spec):
     # one realization per trial, shared across axis points: the eps trend is
     # then a per-trial monotone map and the average inherits it
     gains = sample_trial_gains(geometry, trial_seeds(spec.seed, spec.trials))
-    eps_values = [float(eps) for eps in spec.axis.values()]
+    eps_values = spec.axis.values()
     points = ((gains, _stringency(geometry.eaves_avg_gain(), eps)) for eps in eps_values)
     rows = []
     for eps, (rates, feasible) in zip(eps_values, _maxmin_rates_per_trial(points, p, tol)):
@@ -338,8 +293,8 @@ def _run_gain_vs_k(spec):
     tol = spec.fixed.get("tol", DEFAULT_TOL)
     counts = []
     for x in spec.axis.values():
-        num = int(round(float(x)))
-        if abs(num - float(x)) > 1e-9 or num < 1:
+        num = int(round(x))
+        if abs(num - x) > 1e-9 or num < 1:
             raise ValueError("user-count axis must hold positive integers")
         counts.append(num)
     # same per-trial seed for every K: draws nest, so one draw at the largest
@@ -371,21 +326,25 @@ def _run_gain_vs_k(spec):
     return rows
 
 
-_RUNNERS = {
-    "power_vs_Q": _run_power_vs_q,
-    "rate_vs_P": _run_rate_vs_p,
-    "beta_vs_eps": _run_beta_vs_eps,
-    "avg_rate_vs_eps": _run_avg_rate_vs_eps,
-    "gain_vs_K": _run_gain_vs_k,
+# each kind's axis, the fixed keys it reads (any other key is a mistake) and
+# its runner
+_KINDS = {
+    "power_vs_Q": ("q", _CHANNEL_KEYS | {"eps"}, _run_power_vs_q),
+    "rate_vs_P": ("p_dbm", _CHANNEL_KEYS | {"eps", "tol"}, _run_rate_vs_p),
+    "beta_vs_eps": ("eps", _CHANNEL_KEYS | {"p_dbm"}, _run_beta_vs_eps),
+    "avg_rate_vs_eps": ("eps", _GEOMETRY_KEYS | {"k", "p_dbm", "tol"}, _run_avg_rate_vs_eps),
+    "gain_vs_K": ("k", _GEOMETRY_KEYS | {"eps", "p_dbm", "tol"}, _run_gain_vs_k),
 }
+SWEEP_KINDS = tuple(_KINDS)
 
 
 def run_sweep(spec: SweepSpec) -> list[AggregateResult]:
     """Execute a sweep; rows come back in deterministic axis-then-scheme order.
 
     A fixed key the kind reads but the spec lacks raises a ValueError naming both."""
+    _, _, run = _KINDS[spec.kind]
     try:
-        return _RUNNERS[spec.kind](spec)
+        return run(spec)
     except KeyError as missing:
         raise ValueError(f"sweep kind {spec.kind!r} needs the fixed key {missing}") from None
 

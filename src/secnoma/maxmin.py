@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
-from .secrecy import PowerAllocation, _stringency
+from .secrecy import PowerAllocation, _stringency, _sum
 
 np = lazy_module("numpy")
 
@@ -124,7 +124,7 @@ def _optimal_time(slots):
     fractions in proportion to 1/rate equalize the users' rates, which is
     optimal because each is linear in its own fraction."""
     weights = [1.0 / c for c in slots]
-    total = sum(weights)
+    total = _sum(weights)
     return 1.0 / total, (w / total for w in weights)
 
 
@@ -146,14 +146,14 @@ def _fits(cols, phi, power_budget_mw, q, pad=None):
     """The bisection's exact test: the floor q has a minimum-power solution
     that fits the budget. On one instance's gains, or with a pad mask (see
     `_recursion`) on the rows of the gain columns cols, with one floor per
-    row in q. Either way 2**q and the sum of the powers, column 0 first,
-    round as Python's `**` and sum() do on floats."""
+    row in q. Either way 2**q rounds as Python's `**` does on floats, and
+    the powers add column 0 first (`_sum`)."""
     if pad is None:
         powers, _, _, _ = _recursion(cols, phi, 2.0 ** q)
-        return powers is not None and sum(powers) <= power_budget_mw
+        return powers is not None and _sum(powers) <= power_budget_mw
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         powers, _, _, ok = _recursion(cols, phi, _pow2_each(q), pad)
-        return ok & (sum(powers) <= power_budget_mw)
+        return ok & (_sum(powers) <= power_budget_mw)
 
 
 def _seed(gains, phi, power_budget_mw, hi, q):

@@ -15,6 +15,16 @@ from dataclasses import dataclass
 from .channel import ChannelRealization
 
 
+def _sum(terms):
+    """Sum of floats (or of numpy columns, element-wise) added left to right
+    from 0.0: the order numpy's column adds take. Python's own sum() adds
+    floats in this order only before 3.12, which compensates."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-message transmit powers, linear mW, indexed by decoding position."""
@@ -34,7 +44,7 @@ class PowerAllocation:
 
     @property
     def total_mw(self):
-        return float(sum(self.powers_mw))
+        return float(_sum(self.powers_mw))
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ def _check_user_index(k, num_users):
 
 def _suffix_power(alloc: PowerAllocation, k: int) -> float:
     # interference seen while decoding message k: all not-yet-cancelled messages
-    return float(sum(alloc.powers_mw[k:]))
+    return float(_sum(alloc.powers_mw[k:]))
 
 
 def optimal_decoding_order(channel: ChannelRealization) -> tuple[int, ...]:

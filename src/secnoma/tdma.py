@@ -21,7 +21,7 @@ from .maxmin import (
     solve_maxmin_two_user,
 )
 from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
-from .secrecy import _stringency
+from .secrecy import _stringency, _sum
 
 np = lazy_module("numpy")
 
@@ -38,7 +38,7 @@ class TimeAllocation:
         for t in self.fractions:
             if not (t >= 0 and math.isfinite(t)):
                 raise ValueError("slot fractions must be nonnegative and finite")
-        if sum(self.fractions) > 1.0 + 1e-12:
+        if _sum(self.fractions) > 1.0 + 1e-12:
             raise ValueError("slot fractions must fit in a unit frame")
 
 
@@ -114,7 +114,7 @@ def _tdma_maxmin_rows(gains, phi, p_mw):
         full = np.where(full > 0.0, full, 0.0)
         weakest = full.min(axis=1)
         weights = 1.0 / full
-        rate_opt = np.where(weakest > 0.0, 1.0 / sum(weights.T), 0.0)
+        rate_opt = np.where(weakest > 0.0, 1.0 / _sum(weights.T), 0.0)
     return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
 
 
@@ -137,7 +137,7 @@ def tdma_min_power(
     if failing:
         return InfeasibleVerdict(failing, InfeasibleReason.TDMA_QOS)
     per_user = tuple(powers[0] for powers in alone)
-    return TdmaMinPower(per_user, sum(per_user) / num, max(per_user))
+    return TdmaMinPower(per_user, _sum(per_user) / num, max(per_user))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from secnoma import (
 from secnoma import maxmin
 from secnoma.maxmin import _bisect_rows, _log2_each, _window_rows
 from secnoma.power_min import _recursion
-from secnoma.secrecy import _stringency
+from secnoma.secrecy import _stringency, _sum
 from secnoma.tdma import _tdma_maxmin_rows
 
 COARSE = "tolerance too coarse to certify a positive rate at this budget"
@@ -39,7 +39,7 @@ def _plain_bisection(gains, phi, budget, tol):
         iterations += 1
         q = 0.5 * (lo + hi)
         powers, _, _, _ = _recursion(gains, phi, 2.0 ** q)
-        if powers is not None and sum(powers) <= budget:
+        if powers is not None and _sum(powers) <= budget:
             lo, best = q, powers
         else:
             hi = q
@@ -143,7 +143,7 @@ def test_switch_within_ulps_of_a_midpoint():
 
     def fits(phi, q):
         powers, _, _, _ = _recursion(gains, phi, 2.0**q)
-        return powers is not None and sum(powers) <= budget
+        return powers is not None and _sum(powers) <= budget
 
     lo, hi = 0.0, math.log2(1.0 + gains[0] * budget)
     for _ in range(30):

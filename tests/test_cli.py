@@ -359,6 +359,26 @@ def test_geometry_path_draws_the_library_realization(seed):
     assert secnoma.cli._channel_from_args(args, parser) == sample_realization(geometry, seed)
 
 
+_GEOMETRY_ARGS = ["min-power", "--num-users", "3", "--d-user", "40", "--d-eave", "90",
+                  "--q", "0.3", "--eps", "0.2", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "options, alpha, noise_dbm, eaves_noise_dbm",
+    [
+        (["--alpha", "3.2", "--noise-dbm", "-80", "--eaves-noise-dbm", "-65"], 3.2, -80.0, -65.0),
+        (["--noise-dbm", "-80"], 4.0, -80.0, -80.0),  # eavesdropper noise follows the user's
+        ([], 4.0, -70.0, -70.0),  # the sweep spec's defaults
+    ],
+    ids=["all set", "user noise only", "omitted"],
+)
+def test_geometry_options_reach_the_draw(options, alpha, noise_dbm, eaves_noise_dbm):
+    parser = secnoma.cli.build_parser()
+    args = parser.parse_args(_GEOMETRY_ARGS + options)
+    geometry = NetworkGeometry((40.0,) * 3, 90.0, alpha, dbm_to_mw(noise_dbm), dbm_to_mw(eaves_noise_dbm))
+    assert secnoma.cli._channel_from_args(args, parser) == sample_realization(geometry, 7)
+
+
 def test_min_power_matches_oracle_after_db_round_trip():
     # geometry-free dB inputs land on the same instance the library solves
     rc, out, _ = run_cli(

@@ -13,7 +13,7 @@ from secnoma import (
     run_sweep,
     write_results,
 )
-from secnoma.experiments import CSV_HEADER
+from secnoma.experiments import CSV_HEADER, SWEEP_KINDS
 
 
 def rows_for(rows, scheme, metric):
@@ -64,6 +64,7 @@ _ENDPOINTS = st.one_of(
 @given(endpoints=_ENDPOINTS, steps=st.integers(1, 300))
 @example(endpoints=(-0.0, 1.0), steps=1)  # one step still adds 0.0 * delta
 @example(endpoints=(0.0, 2e-323), steps=7)
+@example(endpoints=(2, 6), steps=5)  # integer endpoints still give floats
 def test_axis_values_are_linspace_bit_for_bit(endpoints, steps):
     start, stop = endpoints
     values = SweepAxis("q", start, stop, steps).values()
@@ -71,6 +72,38 @@ def test_axis_values_are_linspace_bit_for_bit(endpoints, steps):
     with np.errstate(over="ignore", invalid="ignore"):  # a delta may overflow to inf
         expected = np.linspace(start, stop, steps)
     assert np.array(values).tobytes() == expected.tobytes()
+
+
+# each kind's axis and the fixed keys it reads, pinned through its messages
+_KIND_KEYS = {
+    "power_vs_Q": ("q", "eps, gain_base_db, gain_slope_db, gamma_e_db, k"),
+    "rate_vs_P": ("p_dbm", "eps, gain_base_db, gain_slope_db, gamma_e_db, k, tol"),
+    "beta_vs_eps": ("eps", "gain_base_db, gain_slope_db, gamma_e_db, k, p_dbm"),
+    "avg_rate_vs_eps": ("eps", "alpha, d_eave, d_user, eaves_noise_dbm, k, noise_dbm, p_dbm, tol"),
+    "gain_vs_K": ("k", "alpha, d_eave, d_user, eaves_noise_dbm, eps, noise_dbm, p_dbm, tol"),
+}
+
+
+def test_kind_key_table_covers_every_kind():
+    assert tuple(_KIND_KEYS) == SWEEP_KINDS
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_kind_rejects_a_wrong_axis(kind):
+    axis = _KIND_KEYS[kind][0]
+    with pytest.raises(ValueError) as err:
+        SweepSpec(kind, SweepAxis("wrong", 0.1, 0.4, 4))
+    assert str(err.value) == f"sweep kind {kind!r} varies {axis!r}, not 'wrong'"
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_kind_lists_its_allowed_keys(kind):
+    axis, allowed = _KIND_KEYS[kind]
+    for key in allowed.split(", "):
+        SweepSpec(kind, SweepAxis(axis, 0.1, 0.4, 4), {key: 1.0})
+    with pytest.raises(ValueError) as err:
+        SweepSpec(kind, SweepAxis(axis, 0.1, 0.4, 4), {"bogus": 1.0})
+    assert str(err.value) == f"unknown key 'bogus' (allowed: {allowed})"
 
 
 def test_spec_validation():

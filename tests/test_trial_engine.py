@@ -26,7 +26,7 @@ from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
 from secnoma.maxmin import _log2_each, _pow2_each
 from secnoma.power_min import _recursion
-from secnoma.secrecy import _stringency
+from secnoma.secrecy import _stringency, _sum
 
 USER_COUNTS = range(1, 9)
 
@@ -108,7 +108,15 @@ def test_row_helpers_round_like_python_floats():
     expected = np.array([[math.log2(v) for v in row] for row in x.tolist()])
     assert _log2_each(x).tobytes() == expected.tobytes()
     a = 10.0 ** rng.uniform(-6.0, 3.0, (20000, 8))
-    assert sum(a.T).tobytes() == np.array([sum(row) for row in a.tolist()]).tobytes()
+    assert _sum(a.T).tobytes() == np.array([_sum(row) for row in a.tolist()]).tobytes()
+
+
+def test_float_sum_adds_left_to_right():
+    # a compensated sum (Python's sum() from 3.12) gives 1.0 here
+    terms = [1e16, 1.0, -1e16]
+    assert _sum(terms) == 0.0
+    row = np.array([terms])
+    assert _sum(row.T).tolist() == [0.0] == row.sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("num", USER_COUNTS)
