@@ -182,10 +182,29 @@ def _mulhilo(a, b):
     return high, a * b
 
 
+# Trials keyed and drawn together: the rounds' temporaries take about 180
+# bytes a trial for every four uniforms, so a block of this many trials
+# bounds them at a few MB instead of growing with the trial count.
+_DRAW_BLOCK = 16384
+
+
 def _trial_uniforms(seeds, num):
     """(N, num) uniforms on [0, 1), row i the first `num` doubles of
     `Generator(Philox(SeedSequence(seeds[i])))`; each trial's draws nest, so
-    a column prefix is the draw at a smaller count."""
+    a column prefix is the draw at a smaller count. Trials are drawn
+    _DRAW_BLOCK at a time; each row depends on its own seed alone."""
+    # one block is returned as drawn: an output made up front would be live
+    # beside the rounds' temporaries and raise the peak by its own size
+    if seeds.size <= _DRAW_BLOCK:
+        return _block_uniforms(seeds, num)
+    out = np.empty((seeds.size, num))
+    for start in range(0, seeds.size, _DRAW_BLOCK):
+        out[start : start + _DRAW_BLOCK] = _block_uniforms(seeds[start : start + _DRAW_BLOCK], num)
+    return out
+
+
+def _block_uniforms(seeds, num):
+    """`_trial_uniforms` on one block of seeds, all at once."""
     key = _philox_keys(seeds)
     mult, weyl = (np.array(c, dtype=np.uint64).reshape(2, 1, 1) for c in (_PHILOX_M, _PHILOX_W))
     blocks = -(-num // 4)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
@@ -24,8 +25,13 @@ from .channel import (
 )
 from .maxmin import (
     DEFAULT_TOL,
+    _TOO_COARSE,
     MaxMinSolution,
+    _bisect,
     _bisect_rows,
+    _check_budget_and_tol,
+    _optimal_time,
+    _tdma_slots,
     optimal_power_ratio_user1,
     solve_maxmin_bisection,
 )
@@ -97,6 +103,9 @@ class SweepSpec:
         for key in self.fixed:
             if key not in allowed:
                 raise ValueError(f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
+        k = self.fixed.get("k", 1)
+        if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+            raise ValueError(f"fixed key 'k' must be a positive whole number, not {k!r}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SweepSpec":
@@ -116,7 +125,9 @@ class SweepSpec:
         seed = int(data.pop("seed", 0))
         fixed = {}
         for key, raw in data.items():
-            fixed[key] = int(raw) if key in _INT_KEYS else float(raw)
+            value = float(raw)
+            # a fractional count is kept as it is, for __post_init__ to reject
+            fixed[key] = int(value) if key in _INT_KEYS and value.is_integer() else value
         return cls(kind, axis, fixed, trials, seed)
 
 
@@ -223,6 +234,10 @@ def _avg_rate_rows(rows, x, spec, rates, feasible):
 # Feasible rows per lockstep solve: enough to spread numpy's fixed cost per
 # call over many rows, few enough to keep the solver's arrays small.
 _BATCH_ROWS = 4096
+# A batch with fewer feasible rows is solved row by row on the scalar path.
+# A lockstep solve costs about 1.2-2 ms whatever its size and a scalar row
+# about 50-90 us, so the paths break even near 40-55 rows at K = 2..6.
+_SCALAR_ROWS = 32
 
 
 def _maxmin_rates_per_trial(points, p, tol):
@@ -230,9 +245,9 @@ def _maxmin_rates_per_trial(points, p, tol):
     matrix, phi), its zero-filled (3, N) per-trial rates for the three
     schemes and its feasibility flags.
 
-    Consecutive points share one lockstep solve of at most _BATCH_ROWS
-    feasible rows; a point with more is solved alone. Points are read and
-    yielded one batch at a time, so only one batch is held in memory.
+    Consecutive points share one solve of at most _BATCH_ROWS feasible
+    rows; a point with more is solved alone. Points are read and yielded one
+    batch at a time, so only one batch is held in memory.
     """
     batch, size = [], 0
     for gains, phi in points:
@@ -249,12 +264,26 @@ def _maxmin_rates_per_trial(points, p, tol):
 
 
 def _solve_batch(batch, p, tol):
-    """Solve the feasible rows of a batch of (rows, phi, feasible) points in
-    one lockstep and yield each point's rates and flags. Rows with fewer
-    users than the widest point that has rows sit in the last columns, +inf
-    to their left."""
-    width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
+    """Solve the feasible rows of a batch of (rows, phi, feasible) points and
+    yield each point's rates and flags: in one lockstep, or row by row on
+    the scalar path if the batch has fewer than _SCALAR_ROWS rows. Both
+    give the same bits and raise the same errors."""
     counts = [len(rows) for rows, _, _ in batch]
+    if sum(counts) < _SCALAR_ROWS:
+        blocks = _solve_scalar(batch, p, tol)
+    else:
+        blocks = np.split(_solve_lockstep(batch, counts, p, tol), np.cumsum(counts)[:-1], axis=1)
+    for (_, _, feasible), block in zip(batch, blocks):
+        rates = np.zeros((3, len(feasible)))
+        rates[:, feasible] = block
+        yield rates, feasible
+
+
+def _solve_lockstep(batch, counts, p, tol):
+    """The (3, M) rates of a batch's rows in one lockstep. Rows with fewer
+    users than the widest point that has rows sit in the last columns,
+    +inf to their left."""
+    width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
     stacked = np.full((sum(counts), width), np.inf)
     phi = np.repeat([phi for _, phi, _ in batch], counts)
     start = 0
@@ -264,11 +293,27 @@ def _solve_batch(batch, p, tol):
             start += len(rows)
     rate_opt, rate_eq = _tdma_maxmin_rows(stacked, phi, p)
     # optimal-time TDMA never beats superposition: its rate seeds the bisection
-    solved = np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
-    for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
-        rates = np.zeros((3, len(feasible)))
-        rates[:, feasible] = block
-        yield rates, feasible
+    return np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
+
+
+def _solve_scalar(batch, p, tol):
+    """Each point's (3, n) rates from the scalar solvers' kernels, one row
+    at a time, raising what the lockstep raises: every row's TDMA slots come
+    first, so an overflow raises before any bisection, and a tolerance too
+    coarse for some row raises once every row is solved."""
+    _check_budget_and_tol(p, tol)
+    points = [(float(phi), rows.tolist()) for rows, phi, _ in batch]
+    slots = [[_tdma_slots(gains, phi, p) for gains in rows] for phi, rows in points]
+    blocks = []
+    for (phi, rows), row_slots in zip(points, slots):
+        block = np.empty((3, len(rows)))
+        for i, (gains, (full, rate_eq)) in enumerate(zip(rows, row_slots)):
+            rate_opt, _ = _optimal_time(full)
+            block[:, i] = _bisect(gains, phi, p, tol, rate_opt)[0], rate_opt, rate_eq
+        blocks.append(block)
+    if not all((block[0] > 0.0).all() for block in blocks):
+        raise ValueError(_TOO_COARSE)
+    return blocks
 
 
 def _run_avg_rate_vs_eps(spec):

@@ -24,6 +24,7 @@ DEFAULT_TOL = 1e-10
 _BRACKET_OVERFLOW = "the weakest gain times the power budget overflows"
 # nor would a bracket of two adjacent floats that is still tol wide
 _BRACKET_STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
+_TOO_COARSE = "tolerance too coarse to certify a positive rate at this budget"
 
 
 @dataclass(frozen=True)
@@ -68,22 +69,36 @@ def solve_maxmin_bisection(
     certified window around an estimate of the switch are decided without a
     solve (see `_window`); the result is the plain bisection's.
     """
+    _check_budget_and_tol(power_budget_mw, tol)
+    if not check_positive_rate_feasibility(channel, eps):
+        return _positive_rate_verdict(channel, eps)
+    gains = channel.user_gains
+    phi = _stringency(channel.eaves_avg_gain, eps)
+    # the optimal-time TDMA rate (tdma_maxmin's) is a feasible floor
+    floor, _ = _optimal_time(_tdma_slots(gains, phi, power_budget_mw)[0])
+    rate, iterations = _bisect(gains, phi, power_budget_mw, tol, floor)
+    if rate == 0.0:
+        raise ValueError(_TOO_COARSE)
+    powers, _, _, _ = _recursion(gains, phi, 2.0 ** rate)
+    return MaxMinSolution(rate, PowerAllocation(tuple(powers)), iterations)
+
+
+def _check_budget_and_tol(power_budget_mw, tol):
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
     if not (tol > 0):
         raise ValueError("tolerance must be positive")
-    if not check_positive_rate_feasibility(channel, eps):
-        return _positive_rate_verdict(channel, eps)
 
-    gains = channel.user_gains
-    phi = _stringency(channel.eaves_avg_gain, eps)
+
+def _bisect(gains, phi, power_budget_mw, tol, floor):
+    """`solve_maxmin_bisection`'s bisection on one instance's ascending
+    gains, whose weakest must clear phi, with a feasible floor in floor (the
+    optimal-time TDMA rate). Returns (rate, iterations), rate 0.0 if no
+    floor was accepted."""
     lo = 0.0
     hi = math.log2(1.0 + gains[0] * power_budget_mw)
     if hi == math.inf:
         raise OverflowError(_BRACKET_OVERFLOW)
-    # the optimal-time TDMA rate (tdma_maxmin's) is a feasible floor
-    slots = [_slot_rate_full(g, phi, power_budget_mw) for g in gains]
-    floor = _optimal_time(slots)[0] if min(slots) > 0.0 else 0.0
     lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
     narrow = _can_stall(tol, hi)
     iterations = 0
@@ -98,10 +113,7 @@ def solve_maxmin_bisection(
             if narrow and q == hi:
                 raise ValueError(_BRACKET_STALLED)
             hi = q
-    if lo == 0.0:
-        raise ValueError("tolerance too coarse to certify a positive rate at this budget")
-    powers, _, _, _ = _recursion(gains, phi, 2.0 ** lo)
-    return MaxMinSolution(lo, PowerAllocation(tuple(powers)), iterations)
+    return lo, iterations
 
 
 def _can_stall(tol, hi):
@@ -118,11 +130,25 @@ def _slot_rate_full(gain, phi, p):
     return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
 
 
+def _tdma_slots(gains, phi, p):
+    """The per-slot TDMA rates of one instance's users, and their
+    equal-time common rate (tdma_maxmin's). Raises if even the weakest gain
+    times the budget overflows, as the bisection does."""
+    full = [_slot_rate_full(g, phi, p) for g in gains]
+    weakest = min(full)
+    if weakest == math.inf:
+        raise OverflowError(_BRACKET_OVERFLOW)
+    return full, weakest / len(full)
+
+
 def _optimal_time(slots):
-    """Common rate of optimal-time TDMA over positive per-slot rates, and
-    its slot fractions as a generator (the bisection needs only the rate):
-    fractions in proportion to 1/rate equalize the users' rates, which is
-    optimal because each is linear in its own fraction."""
+    """Common rate of optimal-time TDMA over per-slot rates, and its slot
+    fractions as a generator (the bisection needs only the rate): fractions
+    in proportion to 1/rate equalize the users' rates, which is optimal
+    because each is linear in its own fraction. (0.0, None) when some user
+    has no positive slot rate."""
+    if min(slots) <= 0.0:
+        return 0.0, None
     weights = [1.0 / c for c in slots]
     total = _sum(weights)
     return 1.0 / total, (w / total for w in weights)
@@ -224,12 +250,23 @@ def _log2_each(x):
 
 def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     """`_seed` on every row, with numpy's log2: the seed only places the
-    window, so it need not round like the exact test. A batch takes the
-    closed form only if every row has two users."""
-    if gains.shape[1] == 2 and not pad.shape[1]:
+    window, so it need not round like the exact test. A row of two users
+    takes the closed form on its last two columns; `_newton_rows` runs on
+    the other rows, gathered once."""
+    two = pad.sum(axis=1) == gains.shape[1] - 2
+    rest = ~two
+    newton = rest.any()
+    # a batch of two-user rows only, as in a one-K two-user sweep, needs no gather
+    pick = two if newton else slice(None)
+    seed = np.empty(len(gains))
+    if two.any():
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.log2(rate_ceiling_two_user(gains[:, 0], gains[:, 1], phi, power_budget_mw, np.sqrt))
-    return _newton_rows(gains, phi, pad, power_budget_mw, hi, q)
+            seed[pick] = np.log2(
+                rate_ceiling_two_user(gains[pick, -2], gains[pick, -1], phi[pick], power_budget_mw, np.sqrt)
+            )
+    if newton:
+        seed[rest] = _newton_rows(gains[rest], phi[rest], pad[rest], power_budget_mw, hi[rest], q[rest])
+    return seed
 
 
 def _newton_rows(gains, phi, pad, power_budget_mw, hi, q):
@@ -301,10 +338,7 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
     narrower than tol. While every bracket is at least tol wide, no round
     computes which rows are live.
     """
-    if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
-        raise ValueError("power budget must be positive and finite")
-    if not (tol > 0):
-        raise ValueError("tolerance must be positive")
+    _check_budget_and_tol(power_budget_mw, tol)
     pad = np.isinf(gains[:, :-1])
     pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
     with np.errstate(over="ignore"):
@@ -346,7 +380,7 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
         accept = _fits(gains.T, phi, power_budget_mw, q, pad)
         _move(bits, q, np.stack((accept, ~accept)), narrow)
     if not (rate > 0.0).all():
-        raise ValueError("tolerance too coarse to certify a positive rate at this budget")
+        raise ValueError(_TOO_COARSE)
     return rate
 
 

@@ -57,6 +57,19 @@ def constraint_ratio(gain: float, q: float, own_power: float, interference_power
     return num / den
 
 
+def _alone(g, phi_rho, rho_m1, rows=False):
+    """The power of a user whom no stronger user interferes with (the
+    recursion's strongest user, or a TDMA slot): (rho - 1) / den with
+    den = g - phi rho, which must exceed DENOM_TOL * g. Returns (power, den,
+    ok). On one gain a failing user gets power None, before any division;
+    with rows, ok is the mask of rows that pass."""
+    den = g - phi_rho
+    ok = den > DENOM_TOL * g
+    if not (rows or ok):
+        return None, den, ok
+    return rho_m1 / den, den, ok
+
+
 def _recursion(cols, phi, rho, pad=None, tangent=False):
     """Backward power recursion from the strongest user over K gain columns,
     weakest first: floats for one instance, or (M,) arrays for M rows at
@@ -64,8 +77,9 @@ def _recursion(cols, phi, rho, pad=None, tangent=False):
     denominator must exceed DENOM_TOL times its own gain, so the test does
     not depend on the units of the gains.
 
-    Returns (powers, total, slope, ok): the K powers, weakest first; their
-    sum, strongest first; with tangent, the derivative of that sum in rho
+    Returns (powers, total, slope, ok): the K powers, weakest first, or
+    None with tangent, whose callers need only their sum; that sum,
+    strongest first; with tangent, the derivative of that sum in rho
     (forward mode: each power's tangent is carried beside it through the
     same steps; it steers the max-min Newton seed only, never a verdict),
     else None; and whether every condition holds, a mask on
@@ -89,12 +103,10 @@ def _recursion(cols, phi, rho, pad=None, tangent=False):
     phi_rho = phi * rho
     phi_rho_m1 = phi * rho_m1
     g = cols[num - 1]
-    den = g - phi_rho
-    ok = den > DENOM_TOL * g
-    if scalar and not ok:
+    suffix, den, ok = _alone(g, phi_rho, rho_m1, not scalar)
+    if suffix is None:
         return None, None, None, num
-    suffix = rho_m1 / den
-    powers = [suffix] * num
+    powers = None if tangent else [suffix] * num
     slope = (g - phi) / den / den if tangent else None
     for k in range(num - 2, -1, -1):
         g = cols[k]
@@ -107,15 +119,16 @@ def _recursion(cols, phi, rho, pad=None, tangent=False):
             ok &= (fits | pad[:, k]) if k < padded else fits
         own, cross = 1.0 + phi * suffix, 1.0 + g * suffix
         power = rho_m1 * own * cross / den
+        if k < padded:
+            power[pad[:, k]] = 0.0
         if tangent:
             d_den = -g * phi * (suffix + rho_m1 * slope) - phi
             d_power = (own * cross + rho_m1 * slope * (phi * cross + g * own) - power * d_den) / den
             if k < padded:
                 d_power[pad[:, k]] = 0.0
             slope = slope + d_power
-        if k < padded:
-            power[pad[:, k]] = 0.0
-        powers[k] = power
+        else:
+            powers[k] = power
         suffix = suffix + power
     return powers, suffix, slope, ok
 

@@ -12,15 +12,15 @@ from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
-    _BRACKET_OVERFLOW,
     _log2_each,
     _optimal_time,
     _slot_rate_full,
+    _tdma_slots,
     check_positive_rate_feasibility,
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
-from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
+from .power_min import InfeasibleReason, InfeasibleVerdict, _alone
 from .secrecy import _stringency, _sum
 
 np = lazy_module("numpy")
@@ -88,16 +88,13 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
         raise ValueError("power budget must be positive and finite")
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
-    full = [_slot_rate_full(g, phi, p_mw) for g in channel.user_gains]
-    weakest = min(full)
-    if weakest == math.inf:
-        raise OverflowError(_BRACKET_OVERFLOW)
+    full, rate_eq = _tdma_slots(channel.user_gains, phi, p_mw)
     equal = TimeAllocation(tuple(1.0 / num for _ in range(num)))
     if mode == "equal_time":
-        return TdmaMaxMin(weakest / num, equal)
-    if weakest <= 0.0:
-        return TdmaMaxMin(0.0, equal)
+        return TdmaMaxMin(rate_eq, equal)
     rate, fractions = _optimal_time(full)
+    if fractions is None:
+        return TdmaMaxMin(0.0, equal)
     return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
 
 
@@ -125,18 +122,18 @@ def tdma_min_power(
 
     With a 1/K slot each user must hit K*q per slot; the per-slot power then
     has the same single-user closed form as the superposition scheme's
-    strongest user: each slot is a one-user recursion.
+    strongest user: each slot takes the recursion's one-user step (`_alone`).
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("QoS rate must be positive and finite")
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
     rho = 2.0 ** (num * q)
-    alone = [_recursion((g,), phi, rho)[0] for g in channel.user_gains]
-    failing = frozenset(k for k, powers in enumerate(alone, 1) if powers is None)
+    phi_rho, rho_m1 = phi * rho, rho - 1.0
+    per_user = tuple(_alone(g, phi_rho, rho_m1)[0] for g in channel.user_gains)
+    failing = frozenset(k for k, power in enumerate(per_user, 1) if power is None)
     if failing:
         return InfeasibleVerdict(failing, InfeasibleReason.TDMA_QOS)
-    per_user = tuple(powers[0] for powers in alone)
     return TdmaMinPower(per_user, _sum(per_user) / num, max(per_user))
 
 
@@ -162,17 +159,18 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
         noma = solve_maxmin_bisection(channel, eps, p_mw)
     if isinstance(noma, InfeasibleVerdict):
         raise ValueError("instance infeasible: no positive common rate exists")
-    opt = tdma_maxmin(channel, eps, p_mw, "optimal_time")
-    equal = tdma_maxmin(channel, eps, p_mw, "equal_time")
+    # tdma_maxmin's rates in both modes, from one pass over the slots
+    full, rate_eq = _tdma_slots(channel.user_gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
+    rate_opt, _ = _optimal_time(full)
 
     lo, hi = channel.user_gains[0], channel.user_gains[-1]
     # the bisection certifies the optimum only to within its tolerance
     slack = DEFAULT_TOL if noma.iterations_used > 0 else 0.0
-    if (hi - lo) / lo > 1e-6 and not (noma.rate + slack > opt.rate):
+    if (hi - lo) / lo > 1e-6 and not (noma.rate + slack > rate_opt):
         raise RuntimeError("superposition failed to beat optimal TDMA on unequal gains")
-    if hi == lo and abs(noma.rate - opt.rate) > 1e-8:
+    if hi == lo and abs(noma.rate - rate_opt) > 1e-8:
         raise RuntimeError("equal gains must equalize superposition and optimal TDMA")
-    return MaxMinComparison(noma.rate, opt.rate, equal.rate, noma.rate / opt.rate)
+    return MaxMinComparison(noma.rate, rate_opt, rate_eq, noma.rate / rate_opt)
 
 
 @dataclass(frozen=True)

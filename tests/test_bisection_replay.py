@@ -206,10 +206,12 @@ def test_overflowing_bracket_raises_on_both_paths():
         _bisect_rows(matrix, phi, budget, 1e-10, np.zeros(1))
 
 
-def test_newton_windows_are_frozen():
-    # the windows the row seed places, bit for bit, on the batches of
+def test_newton_windows_are_frozen(monkeypatch):
+    # the windows the row Newton seed places, bit for bit, on the batches of
     # test_replay_keeps_exact_tests_few (recorded before the seed stopped
-    # compacting its rows)
+    # compacting its rows, when it also seeded the two-user rows of a
+    # padded batch)
+    monkeypatch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
     rows, eaves = _standard_rows(seed=11, trials=150)
     digest = hashlib.sha256()
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
@@ -359,10 +361,35 @@ def test_two_users_take_no_newton_step(monkeypatch):
     rows, eaves = _two_user_rows(trials=60)
     assert _check_against_oracle(rows, eaves, 0.25, 100.0, 1e-10)
     assert batches == []
-    # a one-user row pads the batch, which then keeps Newton's method
+    # a one-user row pads the batch; Newton's method runs on that row alone
     gains, phis = _batch(rows + [[rows[0][1]]], eaves, 0.25)
     _bisect_rows(gains, phis, 100.0, 1e-10, _tdma_maxmin_rows(gains, phis, 100.0)[0])
-    assert batches == [gains.shape]
+    assert batches == [(1, gains.shape[1])]
+
+
+def test_per_row_seeds_equal_newton_seeds_on_a_mixed_batch(monkeypatch):
+    # gain_vs_users' padded K = 2..6 batch: its two-user rows take the
+    # closed form, the others Newton's method; every row certifies a window
+    # where Newton's method does, and the rates are those of Newton's
+    # method on every row
+    rows = []
+    for num in range(2, 7):
+        geometry = NetworkGeometry((50.0,) * num, 80.0, 4.0, 1e-7, 1e-7)
+        rows += sample_trial_gains(geometry, trial_seeds(30 + num, 300)).tolist()
+    eaves = geometry.eaves_avg_gain()
+    for eps, budget in ((0.1, 100.0), (0.3, 1.0)):
+        gains, phis = _batch(rows, eaves, eps)
+        assert {2, 6} <= set(np.isfinite(gains).sum(axis=1).tolist())
+        floor, _ = _tdma_maxmin_rows(gains, phis, budget)
+        pad = np.isinf(gains[:, :-1])
+        hi = _log2_each(1.0 + gains.min(axis=1) * budget)
+        certified = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
+        rates = _bisect_rows(gains, phis, budget, 1e-10, floor)
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
+            newton = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
+            assert rates.tobytes() == _bisect_rows(gains, phis, budget, 1e-10, floor).tobytes()
+        assert newton.mean() > 0.95 and not (newton & ~certified).any()
 
 
 def test_two_user_replay_keeps_exact_tests_few(monkeypatch):

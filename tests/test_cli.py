@@ -317,6 +317,17 @@ def test_sweep_unknown_key_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k", ["2.5", "0"])
+def test_sweep_non_whole_user_count_is_config_error(tmp_path, capsys, k):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG.replace("k = 2\n", f"k = {k}\n"))
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    message = f"sweep config error: fixed key 'k' must be a positive whole number, not {k}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing_dir/x.csv", "."], ids=["missing directory", "directory"])
 def test_sweep_unwritable_output_is_one_line_error(tmp_path, target):
     out = tmp_path / target

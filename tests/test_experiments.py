@@ -106,6 +106,25 @@ def test_kind_lists_its_allowed_keys(kind):
     assert str(err.value) == f"unknown key 'bogus' (allowed: {allowed})"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ("power_vs_Q", SweepAxis("q", 0.1, 0.2, 2), {"k": 2.5, "eps": 0.1, "gamma_e_db": 20}),
+        ("avg_rate_vs_eps", SweepAxis("eps", 0.1, 0.3, 3), {"k": 3.9, "d_user": 50, "d_eave": 80, "p_dbm": 20}),
+        ("rate_vs_P", SweepAxis("p_dbm", 0.0, 10.0, 2), {"k": 0, "eps": 0.1, "gamma_e_db": 20}),
+        ("beta_vs_eps", SweepAxis("eps", 0.1, 0.3, 2), {"k": math.inf, "gamma_e_db": 20, "p_dbm": 20.0}),
+    ],
+    ids=["fractional", "fractional fading", "zero", "infinite"],
+)
+def test_fixed_user_count_must_be_whole(spec):
+    # a fractional count used to be truncated silently when the spec ran
+    kind, axis, fixed = spec
+    with pytest.raises(ValueError) as err:
+        SweepSpec(kind, axis, fixed)
+    assert str(err.value) == f"fixed key 'k' must be a positive whole number, not {fixed['k']!r}"
+    assert SweepSpec(kind, axis, {**fixed, "k": 3.0}).fixed["k"] == 3
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="missing required key"):
         SweepSpec.from_mapping({"kind": "power_vs_Q", "axis": "q"})

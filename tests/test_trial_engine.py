@@ -21,7 +21,7 @@ from secnoma import (
     tdma_maxmin,
     trial_seeds,
 )
-from secnoma import experiments
+from secnoma import channel, experiments
 from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
 from secnoma.maxmin import _log2_each, _pow2_each
@@ -157,9 +157,12 @@ def _scalar_rates(gains, eaves, eps, p, tol):
 
 
 def _check_points(points, eaves, p, tol=1e-10):
-    """Solve the (gains, eps) axis points in one call and compare every row
-    with the scalar solvers; returns the feasible count per point."""
-    got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
+    """Solve the (gains, eps) axis points in one call, every batch in
+    lockstep, and compare every row with the scalar solvers; returns the
+    feasible count per point."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_SCALAR_ROWS", 0)
+        got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
     assert len(got) == len(points)
     counts = []
     for (gains, eps), ((noma, opt, eq), feasible) in zip(points, got):
@@ -191,10 +194,12 @@ def test_rates_per_trial_ragged_user_counts():
 
 
 class _BatchSpy:
-    """Records the row count and user count of each lockstep solve."""
+    """Records the row count and user count of each lockstep solve; every
+    batch takes the lockstep."""
 
     def __init__(self, monkeypatch):
         self.shapes = []
+        monkeypatch.setattr(experiments, "_SCALAR_ROWS", 0)
         solve = experiments._bisect_rows
 
         def spy(gains, *args):
@@ -245,3 +250,101 @@ def test_rates_per_trial_validate_like_the_scalar_solvers():
         with pytest.raises(ValueError) as rows:
             list(_maxmin_rates_per_trial([(gains, _stringency(1.0, eps))], p, tol))
         assert str(rows.value) == str(scalar.value)
+
+
+def test_draw_blocks_join_bit_for_bit():
+    # one row past the second block boundary, each row numpy's own draw
+    seeds = trial_seeds(79, channel._DRAW_BLOCK + 3)
+    uniforms = _trial_uniforms(seeds, 5)
+    assert uniforms.shape == (len(seeds), 5)
+    expected = np.array(
+        [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))).random(5) for s in seeds.tolist()]
+    )
+    assert uniforms.tobytes() == expected.tobytes()
+
+
+# Batches with fewer feasible rows than experiments._SCALAR_ROWS are solved
+# row by row on the scalar path; the tests below hold both routes to the
+# same bits and the same errors.
+
+
+def _recording(solve, name, taken):
+    def record(*args):
+        taken.append(name)
+        return solve(*args)
+
+    return record
+
+
+def _routes(points, p, tol):
+    """(scalar-path result or error, lockstep result or error) of one call
+    on the (gains, phi) points, and the routes the batches took."""
+    taken, results = [], []
+    for threshold in (experiments._SCALAR_ROWS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_SCALAR_ROWS", threshold)
+            for name in ("_solve_scalar", "_solve_lockstep"):
+                patch.setattr(experiments, name, _recording(getattr(experiments, name), name, taken))
+            try:
+                results.append(list(_maxmin_rates_per_trial(points, p, tol)))
+            except (ValueError, OverflowError) as exc:
+                results.append(exc)
+    return results, taken
+
+
+def _ragged_points(feasible, rng):
+    """K = 1..8 points holding `feasible` feasible rows in all, each point
+    with two rows that clear no stringency; at eps 0.9 every gain of at
+    least 1 does, and none below 0.1."""
+    phi = _stringency(1.0, 0.9)
+    counts = np.full(8, feasible // 8)
+    counts[: feasible % 8] += 1
+    points = []
+    for num, count in zip(USER_COUNTS, counts):
+        gains = np.vstack([_random_gains(num, count, rng), _random_gains(num, 2, rng) * 1e-4])
+        points.append((gains[rng.permutation(len(gains))], phi))
+    return points
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+def test_route_at_the_threshold_equals_lockstep(offset):
+    rng = np.random.default_rng(23)
+    points = _ragged_points(experiments._SCALAR_ROWS + offset, rng)
+    for p in (0.01, 1.0, 100.0):
+        (routed, lockstep), taken = _routes(points, p, 1e-10)
+        assert taken == ["_solve_scalar" if offset < 0 else "_solve_lockstep", "_solve_lockstep"]
+        assert len(routed) == len(lockstep) == len(points)
+        for (rates, feasible), (want_rates, want_feasible) in zip(routed, lockstep):
+            assert feasible.tobytes() == want_feasible.tobytes()
+            assert rates.tobytes() == want_rates.tobytes()
+        assert 0 < sum(int(f.sum()) for _, f in routed) == experiments._SCALAR_ROWS + offset
+
+
+def _same_error(results):
+    routed, lockstep = results
+    assert isinstance(routed, Exception) and type(routed) is type(lockstep)
+    assert str(routed) == str(lockstep)
+    return routed
+
+
+@pytest.mark.parametrize("p, tol", [(0.0, 1e-10), (math.inf, 1e-10), (1.0, 0.0)])
+def test_route_without_feasible_rows_still_validates(p, tol):
+    points = [(_random_gains(num, 5, np.random.default_rng(num)) * 1e-4, 0.3) for num in (2, 5)]
+    results, taken = _routes(points, p, tol)
+    assert taken == ["_solve_scalar", "_solve_lockstep"]
+    error = _same_error(results)
+    with pytest.raises(ValueError) as scalar:
+        solve_maxmin_bisection(ChannelRealization((2.0, 5.0), 1.0), 0.3, p, tol)
+    assert str(error) == str(scalar.value)
+
+
+def test_route_errors_match_lockstep():
+    phi = _stringency(1.0, math.exp(-1.0))
+    # one row whose bracket overflows, after rows that solve
+    overflow = [(np.array([[2.0, 5.0], [3.0, 4.0]]), phi), (np.array([[1e200, 1e201]]), phi)]
+    error = _same_error(_routes(overflow, 1e110, 1e-10)[0])
+    assert isinstance(error, OverflowError)
+    # a tolerance too coarse for one row (see the lockstep test above)
+    coarse = [(np.array([[2.0, 5.0], [3.0, 4.0], [0.1, 9.0]]), phi)]
+    error = _same_error(_routes(coarse, 1.0, 1.0)[0])
+    assert str(error) == "tolerance too coarse to certify a positive rate at this budget"
