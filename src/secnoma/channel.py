@@ -225,11 +225,16 @@ def _block_uniforms(seeds, num):
 
 def _gains_from_uniforms(geometry: NetworkGeometry, u) -> np.ndarray:
     """Sorted gains from an (N, K) block of uniforms: the exponential inverse
-    CDF at unit mean, the path-loss scale and the noise floor."""
+    CDF at unit mean, the path-loss scale and the noise floor, computed in
+    one output array."""
     # 1 - u is in (0, 1] for u in [0, 1), so the log never overflows
-    fading = -np.log1p(-u)
-    scale = np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
-    return np.sort(scale * fading / geometry.noise_user_mw, axis=1)
+    gains = np.negative(u)
+    np.log1p(gains, out=gains)
+    np.negative(gains, out=gains)
+    gains *= np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
+    gains /= geometry.noise_user_mw
+    gains.sort(axis=1)
+    return gains
 
 
 def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:

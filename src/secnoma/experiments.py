@@ -25,13 +25,8 @@ from .channel import (
 )
 from .maxmin import (
     DEFAULT_TOL,
-    _TOO_COARSE,
     MaxMinSolution,
-    _bisect,
     _bisect_rows,
-    _check_budget_and_tol,
-    _optimal_time,
-    _tdma_slots,
     optimal_power_ratio_user1,
     solve_maxmin_bisection,
 )
@@ -234,10 +229,6 @@ def _avg_rate_rows(rows, x, spec, rates, feasible):
 # Feasible rows per lockstep solve: enough to spread numpy's fixed cost per
 # call over many rows, few enough to keep the solver's arrays small.
 _BATCH_ROWS = 4096
-# A batch with fewer feasible rows is solved row by row on the scalar path.
-# A lockstep solve costs about 1.2-2 ms whatever its size and a scalar row
-# about 50-90 us, so the paths break even near 40-55 rows at K = 2..6.
-_SCALAR_ROWS = 32
 
 
 def _maxmin_rates_per_trial(points, p, tol):
@@ -264,25 +255,11 @@ def _maxmin_rates_per_trial(points, p, tol):
 
 
 def _solve_batch(batch, p, tol):
-    """Solve the feasible rows of a batch of (rows, phi, feasible) points and
-    yield each point's rates and flags: in one lockstep, or row by row on
-    the scalar path if the batch has fewer than _SCALAR_ROWS rows. Both
-    give the same bits and raise the same errors."""
+    """Solve the feasible rows of a batch of (rows, phi, feasible) points in
+    one call of the row solvers and yield each point's rates and flags. Rows
+    with fewer users than the widest point that has rows sit in the last
+    columns, +inf to their left."""
     counts = [len(rows) for rows, _, _ in batch]
-    if sum(counts) < _SCALAR_ROWS:
-        blocks = _solve_scalar(batch, p, tol)
-    else:
-        blocks = np.split(_solve_lockstep(batch, counts, p, tol), np.cumsum(counts)[:-1], axis=1)
-    for (_, _, feasible), block in zip(batch, blocks):
-        rates = np.zeros((3, len(feasible)))
-        rates[:, feasible] = block
-        yield rates, feasible
-
-
-def _solve_lockstep(batch, counts, p, tol):
-    """The (3, M) rates of a batch's rows in one lockstep. Rows with fewer
-    users than the widest point that has rows sit in the last columns,
-    +inf to their left."""
     width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
     stacked = np.full((sum(counts), width), np.inf)
     phi = np.repeat([phi for _, phi, _ in batch], counts)
@@ -293,27 +270,11 @@ def _solve_lockstep(batch, counts, p, tol):
             start += len(rows)
     rate_opt, rate_eq = _tdma_maxmin_rows(stacked, phi, p)
     # optimal-time TDMA never beats superposition: its rate seeds the bisection
-    return np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
-
-
-def _solve_scalar(batch, p, tol):
-    """Each point's (3, n) rates from the scalar solvers' kernels, one row
-    at a time, raising what the lockstep raises: every row's TDMA slots come
-    first, so an overflow raises before any bisection, and a tolerance too
-    coarse for some row raises once every row is solved."""
-    _check_budget_and_tol(p, tol)
-    points = [(float(phi), rows.tolist()) for rows, phi, _ in batch]
-    slots = [[_tdma_slots(gains, phi, p) for gains in rows] for phi, rows in points]
-    blocks = []
-    for (phi, rows), row_slots in zip(points, slots):
-        block = np.empty((3, len(rows)))
-        for i, (gains, (full, rate_eq)) in enumerate(zip(rows, row_slots)):
-            rate_opt, _ = _optimal_time(full)
-            block[:, i] = _bisect(gains, phi, p, tol, rate_opt)[0], rate_opt, rate_eq
-        blocks.append(block)
-    if not all((block[0] > 0.0).all() for block in blocks):
-        raise ValueError(_TOO_COARSE)
-    return blocks
+    solved = np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
+    for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
+        rates = np.zeros((3, len(feasible)))
+        rates[:, feasible] = block
+        yield rates, feasible
 
 
 def _run_avg_rate_vs_eps(spec):

@@ -83,11 +83,24 @@ def solve_maxmin_bisection(
     return MaxMinSolution(rate, PowerAllocation(tuple(powers)), iterations)
 
 
-def _check_budget_and_tol(power_budget_mw, tol):
+def _check_budget(power_budget_mw):
     if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
         raise ValueError("power budget must be positive and finite")
+
+
+def _check_budget_and_tol(power_budget_mw, tol):
+    _check_budget(power_budget_mw)
     if not (tol > 0):
         raise ValueError("tolerance must be positive")
+
+
+def _bracket_top(weakest, power_budget_mw):
+    """The bisection's bracket top log2(1 + gamma_1 * P); raises if it
+    overflows."""
+    hi = math.log2(1.0 + weakest * power_budget_mw)
+    if hi == math.inf:
+        raise OverflowError(_BRACKET_OVERFLOW)
+    return hi
 
 
 def _bisect(gains, phi, power_budget_mw, tol, floor):
@@ -96,9 +109,7 @@ def _bisect(gains, phi, power_budget_mw, tol, floor):
     optimal-time TDMA rate). Returns (rate, iterations), rate 0.0 if no
     floor was accepted."""
     lo = 0.0
-    hi = math.log2(1.0 + gains[0] * power_budget_mw)
-    if hi == math.inf:
-        raise OverflowError(_BRACKET_OVERFLOW)
+    hi = _bracket_top(gains[0], power_budget_mw)
     lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
     narrow = _can_stall(tol, hi)
     iterations = 0
@@ -131,14 +142,12 @@ def _slot_rate_full(gain, phi, p):
 
 
 def _tdma_slots(gains, phi, p):
-    """The per-slot TDMA rates of one instance's users, and their
-    equal-time common rate (tdma_maxmin's). Raises if even the weakest gain
-    times the budget overflows, as the bisection does."""
+    """The per-slot TDMA rates of one instance's ascending gains, and their
+    equal-time common rate (tdma_maxmin's). Raises where the bisection's
+    bracket would overflow."""
+    _bracket_top(gains[0], p)
     full = [_slot_rate_full(g, phi, p) for g in gains]
-    weakest = min(full)
-    if weakest == math.inf:
-        raise OverflowError(_BRACKET_OVERFLOW)
-    return full, weakest / len(full)
+    return full, min(full) / len(full)
 
 
 def _optimal_time(slots):
@@ -321,22 +330,25 @@ def _move(bits, q, move, narrow):
     bits += step
 
 
+# `_bisect_rows` solves fewer rows than this one at a time on the scalar
+# path. A lockstep costs about 1.2-2 ms whatever its size and a scalar row
+# about 50-90 us, so the two break even near 40-55 rows at K = 2..6.
+_SCALAR_ROWS = 32
+
+
 def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
-    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix in
-    lockstep, with one stringency per row in phi and one feasible floor per
-    row in floor (the optimal-time TDMA rate); every row's weakest gain must
-    clear its phi. Returns the M certified rates, equal bit for bit to the
-    scalar solver's.
+    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix, with
+    one stringency per row in phi and one feasible floor per row in floor
+    (the optimal-time TDMA rate); every row's weakest gain must clear its
+    phi. Returns the M certified rates, equal bit for bit to the scalar
+    solver's.
 
     A row with fewer than K users holds its gains, ascending, in its last
-    columns and +inf in the leading ones. Each row keeps its own bracket, a
-    column of one (2, M) array of (lo, hi). A floor is accepted by raising
-    lo to it, so lo is the last accepted floor, or 0.0 if there was none.
-    In each pass every row first replays its midpoints by compares alone,
-    in place, until each lies inside its window; only such rows then take an
-    exact step, and a row leaves between passes once its bracket is
-    narrower than tol. While every bracket is at least tol wide, no round
-    computes which rows are live.
+    columns and +inf in the leading ones. Fewer than _SCALAR_ROWS rows are
+    solved one at a time by `_bisect`, others in one lockstep (`_lockstep`).
+    Either way the budget, the tolerance and every row's bracket are checked
+    before any row is solved, and a tolerance too coarse for some row
+    raises once every row is.
     """
     _check_budget_and_tol(power_budget_mw, tol)
     pad = np.isinf(gains[:, :-1])
@@ -345,6 +357,28 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
         hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
     if (hi == np.inf).any():
         raise OverflowError(_BRACKET_OVERFLOW)
+    if len(gains) < _SCALAR_ROWS:
+        rows = zip(gains.tolist(), pad.sum(axis=1).tolist(), phi.tolist(), floor.tolist())
+        rate = np.array([_bisect(g[n:], f, power_budget_mw, tol, low)[0] for g, n, f, low in rows])
+    else:
+        rate = _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor)
+    if not (rate > 0.0).all():
+        raise ValueError(_TOO_COARSE)
+    return rate
+
+
+def _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor):
+    """`_bisect_rows`'s rates of all rows at once, with pad the padding mask
+    and hi the bracket tops; 0.0 for a row that accepted no floor.
+
+    Each row keeps its own bracket, a column of one (2, M) array of (lo,
+    hi). A floor is accepted by raising lo to it, so lo is the last accepted
+    floor, or 0.0 if there was none. In each pass every row first replays
+    its midpoints by compares alone, in place, until each lies inside its
+    window; only such rows then take an exact step, and a row leaves between
+    passes once its bracket is narrower than tol. While every bracket is at
+    least tol wide, no round computes which rows are live.
+    """
     narrow = _can_stall(tol, float(hi.max(initial=0.0)))
     lo_e, hi_e = _window_rows(gains, phi, pad, power_budget_mw, hi, floor)
     rate = np.empty(len(gains))
@@ -379,8 +413,6 @@ def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
         # every midpoint left lies inside its window: one exact step
         accept = _fits(gains.T, phi, power_budget_mw, q, pad)
         _move(bits, q, np.stack((accept, ~accept)), narrow)
-    if not (rate > 0.0).all():
-        raise ValueError(_TOO_COARSE)
     return rate
 
 
@@ -422,8 +454,7 @@ def solve_maxmin_two_user(
     are simultaneously tight, leaving one quadratic in the split."""
     if channel.num_users != 2:
         raise ValueError("closed form is specific to two users")
-    if not (power_budget_mw > 0 and math.isfinite(power_budget_mw)):
-        raise ValueError("power budget must be positive and finite")
+    _check_budget(power_budget_mw)
     if not check_positive_rate_feasibility(channel, eps):
         return _positive_rate_verdict(channel, eps)
 

@@ -12,6 +12,7 @@ from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
+    _check_budget,
     _log2_each,
     _optimal_time,
     _slot_rate_full,
@@ -78,14 +79,13 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     linear and increasing in its own fraction.
 
     If any user cannot sustain a positive per-slot rate the common rate is 0;
-    equal slots are reported in that case. If even the weakest user's gain
-    times the budget overflows, every slot rate is infinite and an
-    OverflowError is raised, as the max-min bisection does.
+    equal slots are reported in that case. If the weakest user's gain times
+    the budget overflows, an OverflowError is raised, as the max-min
+    bisection does.
     """
     if mode not in ("equal_time", "optimal_time"):
         raise ValueError("mode must be 'equal_time' or 'optimal_time'")
-    if not (p_mw > 0 and math.isfinite(p_mw)):
-        raise ValueError("power budget must be positive and finite")
+    _check_budget(p_mw)
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
     full, rate_eq = _tdma_slots(channel.user_gains, phi, p_mw)
@@ -103,8 +103,7 @@ def _tdma_maxmin_rows(gains, phi, p_mw):
     (M, K) gain matrix, with one stringency per row in phi, equal bit for bit
     to the scalar solver's. A row's +inf gains are padding: such a slot has
     infinite full rate, so it takes zero weight and is not counted."""
-    if not (p_mw > 0 and math.isfinite(p_mw)):
-        raise ValueError("power budget must be positive and finite")
+    _check_budget(p_mw)
     # a gain times the budget may overflow: the bisection's bracket reports it
     with np.errstate(over="ignore", divide="ignore"):
         full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi[:, None]))

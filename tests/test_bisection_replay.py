@@ -30,6 +30,13 @@ COARSE = "tolerance too coarse to certify a positive rate at this budget"
 STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
 
 
+@pytest.fixture(autouse=True)
+def _lockstep_only(monkeypatch):
+    # the batches here are small; without this they would take the scalar
+    # route and leave the lockstep untested
+    monkeypatch.setattr(maxmin, "_SCALAR_ROWS", 0)
+
+
 def _plain_bisection(gains, phi, budget, tol):
     """The bisection as first written: an exact solve at every midpoint.
     Returns (rate, powers, iterations); powers is None if no floor fit."""

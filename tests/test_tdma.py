@@ -49,10 +49,11 @@ def test_optimal_time_worked_instance():
 
 @pytest.mark.parametrize("mode", ["optimal_time", "equal_time"])
 def test_overflowing_slot_rates_raise(mode):
-    # every gain times the budget overflows, so every slot rate is infinite
-    channel = ChannelRealization((1e200, 1e201), 1.0)
-    with pytest.raises(OverflowError, match=_BRACKET_OVERFLOW):
-        tdma_maxmin(channel, 0.3, 1e110, mode)
+    # every gain times the budget overflows, so every slot rate is infinite;
+    # with the stringency times the budget overflowing too, each is inf/inf
+    for gains, eaves, budget in (((1e200, 1e201), 1.0, 1e110), ((1e300, 1e301), 1e299, 1e10)):
+        with pytest.raises(OverflowError, match=_BRACKET_OVERFLOW):
+            tdma_maxmin(ChannelRealization(gains, eaves), 0.3, budget, mode)
 
 
 def test_one_overflowing_slot_takes_no_time():

@@ -21,7 +21,7 @@ from secnoma import (
     tdma_maxmin,
     trial_seeds,
 )
-from secnoma import channel, experiments
+from secnoma import channel, experiments, maxmin
 from secnoma.channel import _gains_from_uniforms, _trial_uniforms
 from secnoma.experiments import _maxmin_rates_per_trial
 from secnoma.maxmin import _log2_each, _pow2_each
@@ -161,7 +161,7 @@ def _check_points(points, eaves, p, tol=1e-10):
     lockstep, and compare every row with the scalar solvers; returns the
     feasible count per point."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiments, "_SCALAR_ROWS", 0)
+        patch.setattr(maxmin, "_SCALAR_ROWS", 0)
         got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
     assert len(got) == len(points)
     counts = []
@@ -199,14 +199,14 @@ class _BatchSpy:
 
     def __init__(self, monkeypatch):
         self.shapes = []
-        monkeypatch.setattr(experiments, "_SCALAR_ROWS", 0)
-        solve = experiments._bisect_rows
+        monkeypatch.setattr(maxmin, "_SCALAR_ROWS", 0)
+        solve = maxmin._lockstep
 
         def spy(gains, *args):
             self.shapes.append(gains.shape)
             return solve(gains, *args)
 
-        monkeypatch.setattr(experiments, "_bisect_rows", spy)
+        monkeypatch.setattr(maxmin, "_lockstep", spy)
 
 
 def test_rates_per_trial_batches_cross_the_cap(monkeypatch):
@@ -263,32 +263,34 @@ def test_draw_blocks_join_bit_for_bit():
     assert uniforms.tobytes() == expected.tobytes()
 
 
-# Batches with fewer feasible rows than experiments._SCALAR_ROWS are solved
+# Batches with fewer feasible rows than maxmin._SCALAR_ROWS are bisected
 # row by row on the scalar path; the tests below hold both routes to the
 # same bits and the same errors.
 
 
 def _recording(solve, name, taken):
     def record(*args):
-        taken.append(name)
+        taken.add(name)
         return solve(*args)
 
     return record
 
 
 def _routes(points, p, tol):
-    """(scalar-path result or error, lockstep result or error) of one call
-    on the (gains, phi) points, and the routes the batches took."""
+    """(row-by-row result or error, lockstep result or error) of one call
+    on the (gains, phi) points, and the set of routes each call took."""
     taken, results = [], []
-    for threshold in (experiments._SCALAR_ROWS, 0):
+    for threshold in (maxmin._SCALAR_ROWS, 0):
+        names = set()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "_SCALAR_ROWS", threshold)
-            for name in ("_solve_scalar", "_solve_lockstep"):
-                patch.setattr(experiments, name, _recording(getattr(experiments, name), name, taken))
+            patch.setattr(maxmin, "_SCALAR_ROWS", threshold)
+            for name in ("_bisect", "_lockstep"):
+                patch.setattr(maxmin, name, _recording(getattr(maxmin, name), name, names))
             try:
                 results.append(list(_maxmin_rates_per_trial(points, p, tol)))
             except (ValueError, OverflowError) as exc:
                 results.append(exc)
+        taken.append(names)
     return results, taken
 
 
@@ -309,15 +311,15 @@ def _ragged_points(feasible, rng):
 @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
 def test_route_at_the_threshold_equals_lockstep(offset):
     rng = np.random.default_rng(23)
-    points = _ragged_points(experiments._SCALAR_ROWS + offset, rng)
+    points = _ragged_points(maxmin._SCALAR_ROWS + offset, rng)
     for p in (0.01, 1.0, 100.0):
         (routed, lockstep), taken = _routes(points, p, 1e-10)
-        assert taken == ["_solve_scalar" if offset < 0 else "_solve_lockstep", "_solve_lockstep"]
+        assert taken == [{"_bisect" if offset < 0 else "_lockstep"}, {"_lockstep"}]
         assert len(routed) == len(lockstep) == len(points)
         for (rates, feasible), (want_rates, want_feasible) in zip(routed, lockstep):
             assert feasible.tobytes() == want_feasible.tobytes()
             assert rates.tobytes() == want_rates.tobytes()
-        assert 0 < sum(int(f.sum()) for _, f in routed) == experiments._SCALAR_ROWS + offset
+        assert 0 < sum(int(f.sum()) for _, f in routed) == maxmin._SCALAR_ROWS + offset
 
 
 def _same_error(results):
@@ -330,9 +332,8 @@ def _same_error(results):
 @pytest.mark.parametrize("p, tol", [(0.0, 1e-10), (math.inf, 1e-10), (1.0, 0.0)])
 def test_route_without_feasible_rows_still_validates(p, tol):
     points = [(_random_gains(num, 5, np.random.default_rng(num)) * 1e-4, 0.3) for num in (2, 5)]
-    results, taken = _routes(points, p, tol)
-    assert taken == ["_solve_scalar", "_solve_lockstep"]
-    error = _same_error(results)
+    # the batch is checked before either route is taken
+    error = _same_error(_routes(points, p, tol)[0])
     with pytest.raises(ValueError) as scalar:
         solve_maxmin_bisection(ChannelRealization((2.0, 5.0), 1.0), 0.3, p, tol)
     assert str(error) == str(scalar.value)
@@ -348,3 +349,11 @@ def test_route_errors_match_lockstep():
     coarse = [(np.array([[2.0, 5.0], [3.0, 4.0], [0.1, 9.0]]), phi)]
     error = _same_error(_routes(coarse, 1.0, 1.0)[0])
     assert str(error) == "tolerance too coarse to certify a positive rate at this budget"
+    # a row whose bracket stops shrinking at tol 1e-17, before one whose
+    # bracket overflows: every bracket is checked before any row is solved
+    phi = _stringency(1.0, 0.3)
+    stalls = (np.array([[10.0**0.7, 10.0]]), phi)
+    error = _same_error(_routes([stalls], 100.0, 1e-17)[0])
+    assert str(error).startswith("tolerance finer than the float spacing")
+    overflow = [stalls, (np.array([[1e307, 2e307]]), phi)]
+    assert isinstance(_same_error(_routes(overflow, 100.0, 1e-17)[0]), OverflowError)
