@@ -173,10 +173,12 @@ def _read_config(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip() or not value.strip():
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            mapping[key.strip()] = value.strip()
+            if key in mapping:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            mapping[key] = value
     return mapping
 
 

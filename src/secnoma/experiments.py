@@ -23,16 +23,10 @@ from .channel import (
     sample_trial_gains,
     trial_seeds,
 )
-from .maxmin import (
-    DEFAULT_TOL,
-    MaxMinSolution,
-    _bisect_rows,
-    optimal_power_ratio_user1,
-    solve_maxmin_bisection,
-)
+from .maxmin import DEFAULT_TOL, MaxMinSolution, _maxmin_rows, optimal_power_ratio_user1, solve_maxmin_bisection
 from .power_min import PowerMinSolution, solve_min_power
 from .secrecy import SecrecyRequirement, _stringency
-from .tdma import TdmaMinPower, _tdma_maxmin_rows, tdma_maxmin, tdma_min_power
+from .tdma import TdmaMinPower, tdma_maxmin, tdma_min_power
 
 np = lazy_module("numpy")
 
@@ -256,7 +250,7 @@ def _maxmin_rates_per_trial(points, p, tol):
 
 def _solve_batch(batch, p, tol):
     """Solve the feasible rows of a batch of (rows, phi, feasible) points in
-    one call of the row solvers and yield each point's rates and flags. Rows
+    one call of `_maxmin_rows` and yield each point's rates and flags. Rows
     with fewer users than the widest point that has rows sit in the last
     columns, +inf to their left."""
     counts = [len(rows) for rows, _, _ in batch]
@@ -268,9 +262,7 @@ def _solve_batch(batch, p, tol):
         if len(rows):
             stacked[start : start + len(rows), width - rows.shape[1] :] = rows
             start += len(rows)
-    rate_opt, rate_eq = _tdma_maxmin_rows(stacked, phi, p)
-    # optimal-time TDMA never beats superposition: its rate seeds the bisection
-    solved = np.stack((_bisect_rows(stacked, phi, p, tol, rate_opt), rate_opt, rate_eq))
+    solved = _maxmin_rows(stacked, phi, p, tol)
     for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
         rates = np.zeros((3, len(feasible)))
         rates[:, feasible] = block

@@ -163,6 +163,19 @@ def _optimal_time(slots):
     return 1.0 / total, (w / total for w in weights)
 
 
+def _tdma_maxmin_rows(gains, phi, p):
+    """The optimal-time and equal-time TDMA rates of `_tdma_slots` and
+    `_optimal_time` on every row of an (M, K) gain matrix, with one
+    stringency per row in phi, bit for bit. A slot whose gain, or gain times
+    the budget, is +inf takes zero weight; +inf gains are padding, not users."""
+    with np.errstate(over="ignore", divide="ignore"):
+        full = _log2_each((1.0 + p * gains) / (1.0 + p * phi[:, None]))
+        full = np.where(full > 0.0, full, 0.0)
+        weakest = full.min(axis=1)
+        rate_opt = np.where(weakest > 0.0, 1.0 / _sum((1.0 / full).T), 0.0)
+    return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
+
+
 # The bisection's result depends only on where its float feasibility test
 # switches from accept to reject. An estimate r of that switch, checked by two
 # exact tests at r -/+ _WINDOW, lets every midpoint outside that window be
@@ -330,46 +343,43 @@ def _move(bits, q, move, narrow):
     bits += step
 
 
-# `_bisect_rows` solves fewer rows than this one at a time on the scalar
+# `_maxmin_rows` solves fewer rows than this one at a time on the scalar
 # path. A lockstep costs about 1.2-2 ms whatever its size and a scalar row
 # about 50-90 us, so the two break even near 40-55 rows at K = 2..6.
 _SCALAR_ROWS = 32
 
 
-def _bisect_rows(gains, phi, power_budget_mw, tol, floor):
-    """`solve_maxmin_bisection` on every row of an (M, K) gain matrix, with
-    one stringency per row in phi and one feasible floor per row in floor
-    (the optimal-time TDMA rate); every row's weakest gain must clear its
-    phi. Returns the M certified rates, equal bit for bit to the scalar
-    solver's.
+def _maxmin_rows(gains, phi, power_budget_mw, tol):
+    """The (3, M) max-min, optimal-time TDMA and equal-time TDMA rates of
+    every row of an (M, K) gain matrix, with one stringency per row in phi,
+    equal bit for bit to `solve_maxmin_bisection`'s and `tdma_maxmin`'s;
+    every row's weakest gain must clear its phi.
 
     A row with fewer than K users holds its gains, ascending, in its last
     columns and +inf in the leading ones. Fewer than _SCALAR_ROWS rows are
-    solved one at a time by `_bisect`, others in one lockstep (`_lockstep`).
+    solved one at a time on the scalar kernels, others in one `_lockstep`.
     Either way the budget, the tolerance and every row's bracket are checked
-    before any row is solved, and a tolerance too coarse for some row
+    before any row is bisected, and a tolerance too coarse for some row
     raises once every row is.
     """
     _check_budget_and_tol(power_budget_mw, tol)
-    pad = np.isinf(gains[:, :-1])
-    pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
-    with np.errstate(over="ignore"):
-        hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
-    if (hi == np.inf).any():
-        raise OverflowError(_BRACKET_OVERFLOW)
     if len(gains) < _SCALAR_ROWS:
-        rows = zip(gains.tolist(), pad.sum(axis=1).tolist(), phi.tolist(), floor.tolist())
-        rate = np.array([_bisect(g[n:], f, power_budget_mw, tol, low)[0] for g, n, f, low in rows])
+        # drop each row's padding: its +inf gains left of the last column
+        rows = [(g[g[:-1].count(math.inf) :], f) for g, f in zip(gains.tolist(), phi.tolist())]
+        slots = [_tdma_slots(g, f, power_budget_mw) for g, f in rows]
+        floor = [_optimal_time(full)[0] for full, _ in slots]
+        rate = [_bisect(g, f, power_budget_mw, tol, low)[0] for (g, f), low in zip(rows, floor)]
+        rates = np.array([rate, floor, [eq for _, eq in slots]])
     else:
-        rate = _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor)
-    if not (rate > 0.0).all():
+        rates = _lockstep(gains, phi, power_budget_mw, tol)
+    if not (rates[0] > 0.0).all():
         raise ValueError(_TOO_COARSE)
-    return rate
+    return rates
 
 
-def _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor):
-    """`_bisect_rows`'s rates of all rows at once, with pad the padding mask
-    and hi the bracket tops; 0.0 for a row that accepted no floor.
+def _lockstep(gains, phi, power_budget_mw, tol):
+    """`_maxmin_rows`' rates of all rows at once; max-min rate 0.0 for a row
+    that accepted no floor.
 
     Each row keeps its own bracket, a column of one (2, M) array of (lo,
     hi). A floor is accepted by raising lo to it, so lo is the last accepted
@@ -379,6 +389,14 @@ def _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor):
     passes once its bracket is narrower than tol. While every bracket is at
     least tol wide, no round computes which rows are live.
     """
+    pad = np.isinf(gains[:, :-1])
+    pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
+    with np.errstate(over="ignore"):
+        hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
+    if (hi == np.inf).any():
+        raise OverflowError(_BRACKET_OVERFLOW)
+    # the optimal-time TDMA rate is a feasible floor
+    floor, rate_eq = _tdma_maxmin_rows(gains, phi, power_budget_mw)
     narrow = _can_stall(tol, float(hi.max(initial=0.0)))
     lo_e, hi_e = _window_rows(gains, phi, pad, power_budget_mw, hi, floor)
     rate = np.empty(len(gains))
@@ -413,7 +431,7 @@ def _lockstep(gains, phi, pad, power_budget_mw, tol, hi, floor):
         # every midpoint left lies inside its window: one exact step
         accept = _fits(gains.T, phi, power_budget_mw, q, pad)
         _move(bits, q, np.stack((accept, ~accept)), narrow)
-    return rate
+    return np.stack((rate, floor, rate_eq))
 
 
 def _psi(g1, g2, phi, p, sqrt=math.sqrt):
@@ -492,6 +510,7 @@ def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, flo
     """
     if not (g2 >= g1 > phi > 0.0):
         raise ValueError("need gains above stringency, ascending")
+    _check_budget(p)
     b1 = g2 / phi
     # (R - (g2 - g1)) / (2 (g1 - phi)) with R^2 = 4 g1 (g1 - phi)(g2 - phi) / phi
     # + (g2 - g1)^2, times (R + (g2 - g1)) / (R + (g2 - g1)) as in _ceiling
@@ -510,6 +529,5 @@ def optimal_power_ratio_user1(g1: float, g2: float, phi: float, p: float) -> flo
     """
     if not (g2 >= g1 > phi > 0.0):
         raise ValueError("need gains above stringency, ascending")
-    if not (p > 0):
-        raise ValueError("budget must be positive")
+    _check_budget(p)
     return _weak_power(_finite_psi(g1, g2, phi, p), g1, g2, phi, p) / p

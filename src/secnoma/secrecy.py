@@ -164,7 +164,7 @@ def _outage_closed_form(g_t, p_k, s_next, eaves_avg_gain, q):
     (the SIC residue s_next is below the full suffix s_here); the den <= 0
     branch is a conservative guard only.
     """
-    if q <= 0:
+    if not (q > 0):
         raise ValueError("confidential rate must be positive")
     num, den = _outage_terms(g_t, p_k, s_next, q)
     if num <= 0.0 or den <= 0.0:

@@ -13,7 +13,6 @@ from .channel import ChannelRealization
 from .maxmin import (
     DEFAULT_TOL,
     _check_budget,
-    _log2_each,
     _optimal_time,
     _slot_rate_full,
     _tdma_slots,
@@ -62,8 +61,9 @@ class TdmaMinPower:
 def tdma_user_rate(gain: float, eaves_avg_gain: float, eps: float, p_mw: float, t: float) -> float:
     """Confidential rate of one user given its slot fraction and full-budget
     transmission inside the slot."""
-    if not (gain > 0 and eaves_avg_gain > 0 and p_mw > 0):
-        raise ValueError("gain, eavesdropper gain and power must be positive")
+    if not (gain > 0 and eaves_avg_gain > 0):
+        raise ValueError("gain and eavesdropper gain must be positive")
+    _check_budget(p_mw)
     if not (0.0 <= t <= 1.0):
         raise ValueError("slot fraction must lie in [0, 1]")
     phi = _stringency(eaves_avg_gain, eps)
@@ -96,22 +96,6 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     if fractions is None:
         return TdmaMaxMin(0.0, equal)
     return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
-
-
-def _tdma_maxmin_rows(gains, phi, p_mw):
-    """Optimal-time and equal-time `tdma_maxmin` rates for every row of an
-    (M, K) gain matrix, with one stringency per row in phi, equal bit for bit
-    to the scalar solver's. A row's +inf gains are padding: such a slot has
-    infinite full rate, so it takes zero weight and is not counted."""
-    _check_budget(p_mw)
-    # a gain times the budget may overflow: the bisection's bracket reports it
-    with np.errstate(over="ignore", divide="ignore"):
-        full = _log2_each((1.0 + p_mw * gains) / (1.0 + p_mw * phi[:, None]))
-        full = np.where(full > 0.0, full, 0.0)
-        weakest = full.min(axis=1)
-        weights = 1.0 / full
-        rate_opt = np.where(weakest > 0.0, 1.0 / _sum(weights.T), 0.0)
-    return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
 
 
 def tdma_min_power(
@@ -193,6 +177,7 @@ def noma_rate_region_boundary(
         raise ValueError("rate region is specific to two users")
     if samples < 3:
         raise ValueError("need at least 3 samples")
+    _check_budget(p_mw)
     if not check_positive_rate_feasibility(channel, eps):
         raise ValueError("instance infeasible: the region degenerates to the origin")
     phi = _stringency(channel.eaves_avg_gain, eps)

@@ -21,10 +21,9 @@ from secnoma import (
     trial_seeds,
 )
 from secnoma import maxmin
-from secnoma.maxmin import _bisect_rows, _log2_each, _window_rows
+from secnoma.maxmin import _log2_each, _maxmin_rows, _tdma_maxmin_rows, _window_rows
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
-from secnoma.tdma import _tdma_maxmin_rows
 
 COARSE = "tolerance too coarse to certify a positive rate at this budget"
 STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
@@ -73,12 +72,11 @@ def _check_against_oracle(rows, eaves, eps, budget, tol):
     # the whole padded batch, and its first row as a batch of one
     for batch, wanted in ((rows, expected), (rows[:1], expected[:1])):
         gains, phis = _batch(batch, eaves, eps)
-        floor, _ = _tdma_maxmin_rows(gains, phis, budget)
         if any(best is None for _, best, _ in wanted):
             with pytest.raises(ValueError, match=f"^{COARSE}$"):
-                _bisect_rows(gains, phis, budget, tol, floor)
+                _maxmin_rows(gains, phis, budget, tol)
         else:
-            got = _bisect_rows(gains, phis, budget, tol, floor)
+            got = _maxmin_rows(gains, phis, budget, tol)[0]
             assert got.tobytes() == np.array([rate for rate, _, _ in wanted]).tobytes()
     for row, (rate, best, iterations) in zip(rows, expected):
         channel = ChannelRealization(tuple(row), eaves)
@@ -193,7 +191,7 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
         phis = np.full(len(feasible), phi)
         budget = 10.0 ** (p_dbm / 10.0)
         calls["pow"] = 0
-        _bisect_rows(gains, phis, budget, 1e-10, _tdma_maxmin_rows(gains, phis, budget)[0])
+        _maxmin_rows(gains, phis, budget, 1e-10)
         assert calls["pow"] / len(feasible) <= 6.0
         calls["fits"] = 0
         for row in feasible:
@@ -210,7 +208,7 @@ def test_overflowing_bracket_raises_on_both_paths():
         solve_maxmin_bisection(ChannelRealization(tuple(gains), 1.0), 0.3, budget)
     matrix, phi = np.array([gains]), np.array([_stringency(1.0, 0.3)])
     with pytest.raises(OverflowError, match="overflows"):
-        _bisect_rows(matrix, phi, budget, 1e-10, np.zeros(1))
+        _maxmin_rows(matrix, phi, budget, 1e-10)
 
 
 def test_newton_windows_are_frozen(monkeypatch):
@@ -241,9 +239,8 @@ def test_stalled_bracket_raises_on_both_paths():
     with pytest.raises(ValueError, match=f"^{STALLED}$"):
         solve_maxmin_bisection(ChannelRealization(tuple(gains), eaves), eps, budget, tol)
     matrix, phis = _batch([gains, [gains[1]]], eaves, eps)
-    floor, _ = _tdma_maxmin_rows(matrix, phis, budget)
     with pytest.raises(ValueError, match=f"^{STALLED}$"):
-        _bisect_rows(matrix, phis, budget, tol, floor)
+        _maxmin_rows(matrix, phis, budget, tol)
 
 
 def test_fine_tolerance_that_closes_is_unchanged():
@@ -370,7 +367,7 @@ def test_two_users_take_no_newton_step(monkeypatch):
     assert batches == []
     # a one-user row pads the batch; Newton's method runs on that row alone
     gains, phis = _batch(rows + [[rows[0][1]]], eaves, 0.25)
-    _bisect_rows(gains, phis, 100.0, 1e-10, _tdma_maxmin_rows(gains, phis, 100.0)[0])
+    _maxmin_rows(gains, phis, 100.0, 1e-10)
     assert batches == [(1, gains.shape[1])]
 
 
@@ -391,11 +388,11 @@ def test_per_row_seeds_equal_newton_seeds_on_a_mixed_batch(monkeypatch):
         pad = np.isinf(gains[:, :-1])
         hi = _log2_each(1.0 + gains.min(axis=1) * budget)
         certified = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
-        rates = _bisect_rows(gains, phis, budget, 1e-10, floor)
+        rates = _maxmin_rows(gains, phis, budget, 1e-10)[0]
         with monkeypatch.context() as patch:
             patch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
             newton = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
-            assert rates.tobytes() == _bisect_rows(gains, phis, budget, 1e-10, floor).tobytes()
+            assert rates.tobytes() == _maxmin_rows(gains, phis, budget, 1e-10)[0].tobytes()
         assert newton.mean() > 0.95 and not (newton & ~certified).any()
 
 
@@ -420,7 +417,7 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
     for eps in (0.05, 0.25, 0.45):
         gains, phis = _batch(rows, eaves, eps)
         calls["pow"] = 0
-        _bisect_rows(gains, phis, budget, 1e-10, _tdma_maxmin_rows(gains, phis, budget)[0])
+        _maxmin_rows(gains, phis, budget, 1e-10)
         assert calls["pow"] / len(gains) <= 6.0
         calls["fits"] = 0
         for row in gains.tolist():

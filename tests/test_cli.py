@@ -317,6 +317,15 @@ def test_sweep_unknown_key_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_repeated_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG + "eps = 0.2\n")
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"sweep config error: {cfg}:10: key 'eps' given twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["2.5", "0"])
 def test_sweep_non_whole_user_count_is_config_error(tmp_path, capsys, k):
     cfg = tmp_path / "sweep.cfg"

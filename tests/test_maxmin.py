@@ -194,6 +194,14 @@ def test_closed_forms_raise_where_they_overflow(gain):
             closed_form(gain, 10.0 * gain, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
+def test_closed_forms_reject_bad_budgets(budget):
+    # -1 divided by zero in b3, nan came out of it, and inf gave no error
+    for closed_form in (bound_triple, optimal_power_ratio_user1):
+        with pytest.raises(ValueError, match="^power budget must be positive and finite$"):
+            closed_form(2.0, 5.0, 1.0, budget)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     phi=st.floats(0.1, 2.0),

@@ -139,6 +139,13 @@ def test_outage_rejects_allocation_of_other_size():
         secrecy_outage_closed_form(TWO_USER, PowerAllocation((0.5, 0.25, 0.125)), 1.0, 2)
 
 
+@pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+def test_outage_rejects_rate_that_is_not_positive(q):
+    # a nan rate once passed the check and gave a nan outage
+    with pytest.raises(ValueError, match="^confidential rate must be positive$"):
+        secrecy_outage_closed_form(TWO_USER, ALLOC, q, 1)
+
+
 def test_general_order_matches_canonical_on_sorted_gains():
     for k in (1, 2):
         assert secrecy_outage_for_order(

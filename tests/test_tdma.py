@@ -216,6 +216,9 @@ def test_region_validation():
         noma_rate_region_boundary(TWO_USER, EPS_E1, 1.0, samples=2)
     with pytest.raises(ValueError):
         noma_rate_region_boundary(ChannelRealization((0.5, 10.0), 1.0), EPS_E1, 1.0)
+    for budget in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^power budget must be positive and finite$"):
+            noma_rate_region_boundary(TWO_USER, EPS_E1, budget)
 
 
 def test_time_allocation_validation():
@@ -235,5 +238,8 @@ def test_user_rate_validation():
         tdma_user_rate(5.0, 1.0, 1.5, 1.0, 0.5)
     with pytest.raises(ValueError):
         tdma_user_rate(-5.0, 1.0, EPS_E1, 1.0, 0.5)
+    for budget in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^power budget must be positive and finite$"):
+            tdma_user_rate(5.0, 1.0, EPS_E1, budget, 0.5)
     with pytest.raises(ValueError):
         tdma_maxmin(TWO_USER, EPS_E1, 1.0, "greedy")

@@ -276,15 +276,16 @@ def _recording(solve, name, taken):
     return record
 
 
-def _routes(points, p, tol):
+def _routes(points, p, tol, recorded=("_bisect", "_lockstep")):
     """(row-by-row result or error, lockstep result or error) of one call
-    on the (gains, phi) points, and the set of routes each call took."""
+    on the (gains, phi) points, and the set of the recorded maxmin
+    functions each call took."""
     taken, results = [], []
     for threshold in (maxmin._SCALAR_ROWS, 0):
         names = set()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(maxmin, "_SCALAR_ROWS", threshold)
-            for name in ("_bisect", "_lockstep"):
+            for name in recorded:
                 patch.setattr(maxmin, name, _recording(getattr(maxmin, name), name, names))
             try:
                 results.append(list(_maxmin_rates_per_trial(points, p, tol)))
@@ -320,6 +321,14 @@ def test_route_at_the_threshold_equals_lockstep(offset):
             assert feasible.tobytes() == want_feasible.tobytes()
             assert rates.tobytes() == want_rates.tobytes()
         assert 0 < sum(int(f.sum()) for _, f in routed) == maxmin._SCALAR_ROWS + offset
+
+
+def test_route_below_the_threshold_takes_no_row_kernel():
+    # the row-by-row route takes its TDMA rates from the scalar kernels too
+    points = _ragged_points(maxmin._SCALAR_ROWS - 1, np.random.default_rng(24))
+    recorded = ("_bisect", "_lockstep", "_tdma_maxmin_rows", "_window_rows")
+    _, taken = _routes(points, 1.0, 1e-10, recorded)
+    assert taken == [{"_bisect"}, {"_lockstep", "_tdma_maxmin_rows", "_window_rows"}]
 
 
 def _same_error(results):
