@@ -38,6 +38,10 @@ def mw_to_dbm(x_mw):
     return linear_to_db(x_mw)
 
 
+# -ln(2**-53): the largest unit-mean exponential draw of the sampler
+_LARGEST_DRAW = 53 * math.log(2.0)
+
+
 @dataclass(frozen=True)
 class NetworkGeometry:
     """Static deployment: user/eavesdropper distances, path-loss exponent, noise floors.
@@ -64,6 +68,16 @@ class NetworkGeometry:
             raise ValueError("path-loss exponent must be positive")
         if not (self.noise_user_mw > 0 and self.noise_eaves_mw > 0):
             raise ValueError("noise powers must be positive")
+        # the sampler scales a draw by the path gain d**-alpha, then divides
+        # by the noise: both steps must stay finite for the largest draw
+        floor = min(self.noise_user_mw, self.noise_eaves_mw)
+        for d in (*self.distances_user, self.distance_eaves):
+            try:
+                peak = float(d) ** -float(self.path_loss_exponent) * _LARGEST_DRAW
+            except OverflowError:
+                peak = math.inf
+            if not (0.0 < peak < math.inf and peak / floor < math.inf):
+                raise ValueError("path gains d**-alpha must be positive and finite over the noise floor")
 
     @property
     def num_users(self):
@@ -72,6 +86,22 @@ class NetworkGeometry:
     def eaves_avg_gain(self):
         """Mean normalized eavesdropper gain d_e^-alpha / sigma_e^2."""
         return self.distance_eaves ** (-self.path_loss_exponent) / self.noise_eaves_mw
+
+
+# the sweep spec's geometry keys, which the CLI's geometry options share
+_GEOMETRY_KEYS = {"d_user", "d_eave", "alpha", "noise_dbm", "eaves_noise_dbm"}
+
+
+def _geometry(fixed, num) -> NetworkGeometry:
+    """`num` users at d_user from fixed geometry keys; alpha = 4, -70 dBm and
+    eavesdropper noise = user noise unless set."""
+    return NetworkGeometry(
+        distances_user=(fixed["d_user"],) * num,
+        distance_eaves=fixed["d_eave"],
+        path_loss_exponent=fixed.get("alpha", 4.0),
+        noise_user_mw=dbm_to_mw(fixed.get("noise_dbm", -70.0)),
+        noise_eaves_mw=dbm_to_mw(fixed.get("eaves_noise_dbm", fixed.get("noise_dbm", -70.0))),
+    )
 
 
 @dataclass(frozen=True)

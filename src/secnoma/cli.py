@@ -9,12 +9,9 @@ import argparse
 import json
 import sys
 
-from .channel import ChannelRealization, db_to_linear, dbm_to_mw, mw_to_dbm, sample_trial_gains
-from .experiments import _GEOMETRY_KEYS, SweepSpec, _geometry, run_sweep, write_results
-from .maxmin import DEFAULT_TOL, _positive_rate_verdict, check_positive_rate_feasibility, solve_maxmin_bisection
-from .power_min import InfeasibleVerdict, solve_min_power
-from .secrecy import SecrecyRequirement, secrecy_outage_closed_form
-from .tdma import compare_maxmin
+# every handler needs the channel; each imports its own solver modules, so a
+# call loads only the modules it runs
+from .channel import _GEOMETRY_KEYS, ChannelRealization, _geometry, db_to_linear, dbm_to_mw, mw_to_dbm, sample_trial_gains
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,6 +72,9 @@ def _print_verdict(verdict, as_json):
 
 
 def _cmd_min_power(args, parser):
+    from .power_min import InfeasibleVerdict, solve_min_power
+    from .secrecy import SecrecyRequirement, secrecy_outage_closed_form
+
     channel = _channel_from_args(args, parser)
     requirement = SecrecyRequirement(args.q, args.eps)
     solution = solve_min_power(channel, requirement)
@@ -117,9 +117,13 @@ def _cmd_min_power(args, parser):
 
 
 def _cmd_max_min_rate(args, parser):
+    from .maxmin import DEFAULT_TOL, solve_maxmin_bisection
+    from .power_min import InfeasibleVerdict
+
     channel = _channel_from_args(args, parser)
     p_mw = dbm_to_mw(args.p_dbm)
-    solution = solve_maxmin_bisection(channel, args.eps, p_mw, args.tol)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    solution = solve_maxmin_bisection(channel, args.eps, p_mw, tol)
     if isinstance(solution, InfeasibleVerdict):
         return _print_verdict(solution, args.json)
     if args.json:
@@ -146,6 +150,9 @@ def _cmd_max_min_rate(args, parser):
 
 
 def _cmd_compare_oma(args, parser):
+    from .maxmin import _positive_rate_verdict, check_positive_rate_feasibility
+    from .tdma import compare_maxmin
+
     channel = _channel_from_args(args, parser)
     p_mw = dbm_to_mw(args.p_dbm)
     if not check_positive_rate_feasibility(channel, args.eps):
@@ -183,6 +190,8 @@ def _read_config(path):
 
 
 def _cmd_sweep(args, parser):
+    from .experiments import SweepSpec, run_sweep, write_results
+
     try:
         mapping = _read_config(args.config)
         config_out = mapping.pop("out", None)
@@ -217,7 +226,7 @@ def build_parser():
     _add_channel_options(p_max)
     p_max.add_argument("--p-dbm", type=float, required=True, help="total power budget, dBm")
     p_max.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
-    p_max.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bisection rate tolerance")
+    p_max.add_argument("--tol", type=float, help="bisection rate tolerance (default 1e-10)")
     p_max.set_defaults(handler=_cmd_max_min_rate)
 
     p_cmp = sub.add_parser("compare-oma", help="superposition vs TDMA max-min rates")

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
 from .channel import (
+    _GEOMETRY_KEYS,
     ChannelRealization,
-    NetworkGeometry,
     _gains_from_uniforms,
+    _geometry,
     _trial_uniforms,
     db_to_linear,
     dbm_to_mw,
@@ -35,9 +36,8 @@ CSV_HEADER = ("x", "scheme", "metric", "value", "stderr", "feasible_frac", "tria
 # keys that are whole numbers by nature
 _INT_KEYS = {"k"}
 
-# the fixed keys that set a fixed channel and a fading geometry
+# the fixed keys that set a fixed channel (a fading geometry's are channel._GEOMETRY_KEYS)
 _CHANNEL_KEYS = {"k", "gain_base_db", "gain_slope_db", "gamma_e_db"}
-_GEOMETRY_KEYS = {"d_user", "d_eave", "alpha", "noise_dbm", "eaves_noise_dbm"}
 
 
 @dataclass(frozen=True)
@@ -143,16 +143,6 @@ def _fixed_channel(fixed) -> ChannelRealization:
     slope = fixed.get("gain_slope_db", 2.0)
     gains = sorted(db_to_linear(base + slope * (k + 1)) for k in range(int(fixed.get("k", 2))))
     return ChannelRealization(tuple(gains), db_to_linear(fixed["gamma_e_db"]))
-
-
-def _geometry(fixed, num) -> NetworkGeometry:
-    return NetworkGeometry(
-        distances_user=(fixed["d_user"],) * num,
-        distance_eaves=fixed["d_eave"],
-        path_loss_exponent=fixed.get("alpha", 4.0),
-        noise_user_mw=dbm_to_mw(fixed.get("noise_dbm", -70.0)),
-        noise_eaves_mw=dbm_to_mw(fixed.get("eaves_noise_dbm", fixed.get("noise_dbm", -70.0))),
-    )
 
 
 def _fixed_row(spec, x, scheme, metric, value, ok):

@@ -172,6 +172,7 @@ def noma_rate_region_boundary(
     Superposition sweeps the strong user's power share from 0 to the full
     budget; TDMA sweeps the strong user's slot fraction over [0, 1]. The
     endpoints of the two curves coincide (single-user operation either way).
+    A budget at which the rate products overflow raises an OverflowError.
     """
     if channel.num_users != 2:
         raise ValueError("rate region is specific to two users")
@@ -183,6 +184,9 @@ def noma_rate_region_boundary(
     phi = _stringency(channel.eaves_avg_gain, eps)
     g1, g2 = channel.user_gains
     p = float(p_mw)
+    # the largest products below, each at p2 = p
+    if max((1.0 + g1 * p) * (1.0 + phi * p), 1.0 + g2 * p) == math.inf:
+        raise OverflowError("the rate region's products overflow")
 
     p2 = np.linspace(0.0, p, samples)
     r1 = np.log2((1.0 + g1 * p) * (1.0 + phi * p2) / ((1.0 + g1 * p2) * (1.0 + phi * p)))

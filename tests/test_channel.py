@@ -56,6 +56,13 @@ def test_geometry_validation():
         NetworkGeometry((50.0,), 80.0, 0.0, 1e-7, 1e-7)
     with pytest.raises(ValueError):
         NetworkGeometry((50.0,), 80.0, 4.0, 0.0, 1e-7)
+    # path gains d**-alpha the sampler cannot scale: overflowing, zero, not
+    # finite over the noise floor, not finite times the largest unit-mean draw
+    message = "^path gains d\\*\\*-alpha must be positive and finite over the noise floor$"
+    for users, eave in [((1e-320,), 80.0), ((50.0, 1e100), 80.0), ((50.0,), 1e-76), ((1e-75,), 80.0)]:
+        with pytest.raises(ValueError, match=message):
+            NetworkGeometry(users, eave, 4.0, 1e-7, 1e-7)
+    NetworkGeometry((1e-75,), 80.0, 4.0, 1.0, 1.0)
 
 
 def test_realization_validation():

@@ -156,6 +156,28 @@ def test_overflowing_sweep_is_one_line_error(tmp_path):
     assert err == "error: an input is too large: the arithmetic overflows\n"
 
 
+_FADING_SPEC = "axis_steps = 2\nd_eave = 80\np_dbm = 20\ntrials = 20\nseed = 1\n"
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("max-min-rate", "--num-users", "2", "--d-user=1e-320", "--d-eave=80", "--p-dbm", "20", "--eps", "0.3"), None),
+        (("sweep",), "kind = gain_vs_K\naxis = k\naxis_start = 2\naxis_stop = 3\neps = 0.1\nd_user = 1e-300\n"),
+        (("sweep",), "kind = avg_rate_vs_eps\naxis = eps\naxis_start = 0.1\naxis_stop = 0.3\nd_user = 1e-80\n"),
+    ],
+    ids=["max-min-rate", "gain_vs_K", "avg_rate_vs_eps"],
+)
+def test_overflowing_path_gain_is_one_line_error(tmp_path, args, config):
+    # d**-alpha overflows before any draw, so numpy never warns
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config + _FADING_SPEC)
+        args += ("--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "x.csv"))
+    rc, out, err = run_cli(*args)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: path gains d**-alpha must be positive and finite over the noise floor\n"
+
+
 def test_stalled_tolerance_is_one_line_error(tmp_path):
     # 1e-17 is below the float spacing near the rate: the bracket stops
     # shrinking, on the scalar path and on the sweep's row path
@@ -229,7 +251,7 @@ def test_solver_self_check_failure_is_one_line_error(monkeypatch, capsys):
     def broken(*_):
         raise RuntimeError("superposition failed to beat optimal TDMA on unequal gains")
 
-    monkeypatch.setattr(secnoma.cli, "compare_maxmin", broken)
+    monkeypatch.setattr(secnoma.tdma, "compare_maxmin", broken)
     rc = secnoma.cli.main(
         ["compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--eps", EPS, "--p-dbm", "0"]
     )
@@ -469,6 +491,46 @@ def test_array_calls_import_numpy(tmp_path):
     assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *fading)
     assert (tmp_path / "avg_rate_vs_eps.csv").exists()
     assert len(_FIXED_SPECS) == 4
+
+
+# each call imports its handler's solver modules and nothing else; the
+# channel (and its lazy numpy) comes with the CLI itself
+_CLI_MODULES = ["secnoma", "secnoma._lazy", "secnoma.channel", "secnoma.cli"]
+_SOLVER_MODULES = {
+    "help": [],
+    "min-power": ["power_min", "secrecy"],
+    "max-min-rate": ["maxmin", "power_min", "secrecy"],
+    "compare-oma": ["maxmin", "power_min", "secrecy", "tdma"],
+    "max-min-rate-geometry": ["maxmin", "power_min", "secrecy"],
+    "sweep-power_vs_qos": ["experiments", "maxmin", "power_min", "secrecy", "tdma"],
+}
+_PACKAGE_REPORT = """\
+import json, sys
+print(json.dumps([globals().get("status", 0), sorted(m for m in sys.modules if m.split(".")[0] == "secnoma")]))
+"""
+
+
+_GEOMETRY_CALL = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
+                  "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
+
+
+@pytest.mark.parametrize("case", _SOLVER_MODULES)
+def test_each_call_loads_only_its_modules(case, tmp_path):
+    code, *args = {**_SCALAR_CASES, "max-min-rate-geometry": (_RUN_CLI, *_GEOMETRY_CALL)}[case]
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _PACKAGE_REPORT, *args], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status == EXIT_OK, proc.stderr
+    assert loaded == sorted(_CLI_MODULES + [f"secnoma.{name}" for name in _SOLVER_MODULES[case]])
+
+
+def test_tol_help_names_the_default(capsys):
+    # --help imports no solver, so the help text spells the default out
+    with pytest.raises(SystemExit):
+        secnoma.cli.main(["max-min-rate", "--help"])
+    assert f"(default {secnoma.maxmin.DEFAULT_TOL:g})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_lazy_module_runs_the_module_on_first_attribute_access(tmp_path, monkeypatch):

@@ -219,6 +219,11 @@ def test_region_validation():
     for budget in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="^power budget must be positive and finite$"):
             noma_rate_region_boundary(TWO_USER, EPS_E1, budget)
+    # (1 + g1 P)(1 + phi P) overflows above about 1e154, where numpy would warn and give nan
+    with pytest.raises(OverflowError, match="^the rate region's products overflow$"):
+        noma_rate_region_boundary(TWO_USER, EPS_E1, 1e200)
+    reg = noma_rate_region_boundary(TWO_USER, EPS_E1, 1e153)
+    assert np.isfinite(reg.noma).all() and np.isfinite(reg.tdma).all()
 
 
 def test_time_allocation_validation():
