@@ -8,6 +8,7 @@ bisection uses it only to place the window it replays around (`_seed`).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,6 +137,18 @@ def _can_stall(tol, hi):
     return tol <= math.ulp(hi)
 
 
+def _rounds_to_close(width, tol):
+    """How many bisection rounds brackets at least width wide can take, each
+    moving a bound to its midpoint, and still all be at least tol wide, when
+    no bracket can stall (see `_can_stall`): a move at least halves a
+    bracket, give or take the midpoint's rounding, which is then below
+    tol / 2. 0 unless width / tol is a finite number above 4."""
+    ratio = width / tol
+    if not 4.0 < ratio < math.inf:
+        return 0
+    return int(math.log2(ratio)) - 1
+
+
 def _slot_rate_full(gain, phi, p):
     # per-slot confidential rate of one TDMA user before time scaling, clipped at zero
     return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
@@ -163,6 +176,13 @@ def _optimal_time(slots):
     return 1.0 / total, (w / total for w in weights)
 
 
+# Reductions along the short axis of an (M, K) array cost numpy far more
+# than one element-wise call per column; min is exact in any order, and a
+# count of at most K is exact in floats.
+def _min(cols):
+    return functools.reduce(np.minimum, cols)
+
+
 def _tdma_maxmin_rows(gains, phi, p):
     """The optimal-time and equal-time TDMA rates of `_tdma_slots` and
     `_optimal_time` on every row of an (M, K) gain matrix, with one
@@ -171,9 +191,9 @@ def _tdma_maxmin_rows(gains, phi, p):
     with np.errstate(over="ignore", divide="ignore"):
         full = _log2_each((1.0 + p * gains) / (1.0 + p * phi[:, None]))
         full = np.where(full > 0.0, full, 0.0)
-        weakest = full.min(axis=1)
+        weakest = _min(full.T)
         rate_opt = np.where(weakest > 0.0, 1.0 / _sum((1.0 / full).T), 0.0)
-    return rate_opt, weakest / np.isfinite(gains).sum(axis=1)
+    return rate_opt, weakest / _sum(np.isfinite(gains).T)
 
 
 # The bisection's result depends only on where its float feasibility test
@@ -275,7 +295,10 @@ def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     window, so it need not round like the exact test. A row of two users
     takes the closed form on its last two columns; `_newton_rows` runs on
     the other rows, gathered once."""
-    two = pad.sum(axis=1) == gains.shape[1] - 2
+    padded = np.zeros(len(gains))  # an array even when pad has no columns
+    for col in pad.T:
+        padded += col
+    two = padded == gains.shape[1] - 2
     rest = ~two
     newton = rest.any()
     # a batch of two-user rows only, as in a one-K two-user sweep, needs no gather
@@ -328,19 +351,57 @@ def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 
-def _move(bits, q, move, narrow):
+def _move(bits, q, move, narrow, step=None):
     """Set the bounds picked by move, a (2, M) mask over the int64 view bits
     of the (lo, hi) rows, to their row's midpoint in q. Bounds and midpoints
     are finite and nonnegative, so their bit patterns are int64s in
     [0, 2**63) whose differences cannot overflow, and bits += (q_bits -
     bits) * move sets each picked bound to q exactly, with no branch on the
     mask. Raises if a picked bound is its own midpoint (see `_can_stall`);
-    narrow says whether that can happen."""
-    step = q.view(np.int64) - bits
+    narrow says whether that can happen. step, if given, is a (2, M) int64
+    buffer for the differences."""
+    step = np.subtract(q.view(np.int64), bits, out=step)
     step *= move
     if narrow and (move & (step == 0)).any():
         raise ValueError(_BRACKET_STALLED)
     bits += step
+
+
+def _replay(bounds, lo_e, hi_e, tol, narrow, q, move, step):
+    """Decide by compares, in place, every midpoint of the (2, M) (lo, hi)
+    rows in bounds that lies outside its row's window (lo_e, hi_e), round
+    after round, until each midpoint left in q lies inside its window or
+    belongs to a bracket narrower than tol. q, move and step are buffers of
+    shape (M,), (2, M) and (2, M). Returns the widths once some bracket is
+    narrower than tol, else None.
+
+    A round whose move mask picks nothing changes no bits, so the rounds
+    that `_rounds_to_close` guarantees to leave every bracket open are only
+    the midpoint, the two compares and the blend: they compute no width and
+    never test whether anything moved."""
+    lo, hi = bounds
+    bits = bounds.view(np.int64)
+    closing = False
+    blind = 0
+    while True:
+        np.add(lo, hi, out=q)
+        q *= 0.5
+        np.less_equal(q, lo_e, out=move[0])
+        np.greater_equal(q, hi_e, out=move[1])
+        if blind:
+            blind -= 1
+        else:
+            width = hi - lo
+            narrowest = float(width.min())
+            closing = closing or narrowest < tol
+            if closing:
+                move &= width >= tol
+            if not move.any():
+                return width if closing else None
+            if not narrow:
+                # the count starts at this round, which was checked
+                blind = max(_rounds_to_close(narrowest, tol) - 1, 0)
+        _move(bits, q, move, narrow, step)
 
 
 # `_maxmin_rows` solves fewer rows than this one at a time on the scalar
@@ -392,7 +453,7 @@ def _lockstep(gains, phi, power_budget_mw, tol):
     pad = np.isinf(gains[:, :-1])
     pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
     with np.errstate(over="ignore"):
-        hi = _log2_each(1.0 + gains.min(axis=1) * power_budget_mw)
+        hi = _log2_each(1.0 + _min(gains.T) * power_budget_mw)
     if (hi == np.inf).any():
         raise OverflowError(_BRACKET_OVERFLOW)
     # the optimal-time TDMA rate is a feasible floor
@@ -402,35 +463,25 @@ def _lockstep(gains, phi, power_budget_mw, tol):
     rate = np.empty(len(gains))
     active = np.arange(len(gains))
     bounds = np.stack((np.zeros(len(gains)), hi))
+    # the replay's buffers; a pass uses the first columns, one per live row
+    mid = np.empty(len(gains))
+    moves = np.empty(bounds.shape, dtype=bool)
+    steps = np.empty(bounds.shape, dtype=np.int64)
     while active.size:
-        lo, hi = bounds
-        bits = bounds.view(np.int64)
-        move = np.empty(bounds.shape, dtype=bool)
-        closing = False
-        # decide by compares every midpoint outside its row's window
-        while True:
-            q = 0.5 * (lo + hi)
-            np.less_equal(q, lo_e, out=move[0])
-            np.greater_equal(q, hi_e, out=move[1])
-            width = hi - lo
-            closing = closing or width.min() < tol
-            if closing:
-                move &= width >= tol
-            if not move.any():
-                break
-            _move(bits, q, move, narrow)
-        if closing:
+        live_rows = active.size
+        q = mid[:live_rows]
+        width = _replay(bounds, lo_e, hi_e, tol, narrow, q, moves[:, :live_rows], steps[:, :live_rows])
+        if width is not None:
             live = width >= tol
             done = ~live
-            rate[active[done]] = lo[done]
+            rate[active[done]] = bounds[0, done]
             active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
             bounds, lo_e, hi_e, q = bounds[:, live], lo_e[live], hi_e[live], q[live]
             if not active.size:
                 break
-            bits = bounds.view(np.int64)
         # every midpoint left lies inside its window: one exact step
         accept = _fits(gains.T, phi, power_budget_mw, q, pad)
-        _move(bits, q, np.stack((accept, ~accept)), narrow)
+        _move(bounds.view(np.int64), q, np.stack((accept, ~accept)), narrow)
     return np.stack((rate, floor, rate_eq))
 
 

@@ -1,9 +1,12 @@
 """Independent oracles for the test suite: an exhaustive grid search for
-the minimum-power design and a Monte Carlo estimate of the secrecy outage.
+the minimum-power design, a 60-digit max-min rate and a Monte Carlo estimate
+of the secrecy outage.
 
 Only tests call them, and they reuse none of the package's arithmetic, so
 the closed forms and the recursion are checked against code of their own.
 """
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 from secnoma import (
@@ -14,6 +17,7 @@ from secnoma import (
     SecrecyRequirement,
     solve_min_power,
 )
+from secnoma.power_min import DENOM_TOL
 
 
 def bruteforce_min_power(
@@ -107,6 +111,49 @@ def verify_optimality_bruteforce(
     if grid_total is None:
         raise ValueError("grid too small or too coarse: no feasible grid point found")
     return (grid_total - solution.total_power_mw) / solution.total_power_mw
+
+
+def maxmin_rate_reference(gains, phi: float, budget: float, steps: int = 200) -> Decimal:
+    """The max-min common rate of ascending gains at stringency phi and a
+    power budget, to about 60 digits: a bisection of `steps` halvings on the
+    floor q in [0, log2(1 + gains[0] budget)], whose test runs the backward
+    power recursion at 60 digits. A user's denominator must exceed DENOM_TOL
+    times its gain, the package's stated feasibility rule. The floats are
+    taken exactly, and 2**q of a midpoint is the geometric mean of 2**q at
+    its bounds, which equals exp(q ln 2) to 60 digits at a seventh of the
+    cost."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g = [Decimal(x) for x in reversed(gains)]
+        phi, budget = Decimal(phi), Decimal(budget)
+        floors = [Decimal(DENOM_TOL) * gain for gain in g]
+
+        def fits(rho):
+            # the strongest user sees no interference; each weaker one sees
+            # the total power s of the users decoded after it
+            rho_m1, phi_rho = rho - 1, phi * rho
+            phi_rho_m1 = phi * rho_m1
+            s = Decimal(0)
+            for gain, floor in zip(g, floors):
+                den = gain * (1 - phi_rho_m1 * s) - phi_rho
+                if not den > floor:
+                    return False
+                s += rho_m1 * (1 + phi * s) * (1 + gain * s) / den
+                if s > budget:  # every power is positive
+                    return False
+            return True
+
+        # (q, 2**q) at each bound
+        lo, rho_lo = Decimal(0), Decimal(1)
+        rho_hi = 1 + g[-1] * budget
+        hi = rho_hi.ln() / Decimal(2).ln()
+        for _ in range(steps):
+            mid, rho = (lo + hi) / 2, (rho_lo * rho_hi).sqrt()
+            if fits(rho):
+                lo, rho_lo = mid, rho
+            else:
+                hi, rho_hi = mid, rho
+        return lo
 
 
 _CHUNK = 1 << 17

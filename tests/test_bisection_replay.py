@@ -27,6 +27,7 @@ from secnoma.secrecy import _stringency, _sum
 
 COARSE = "tolerance too coarse to certify a positive rate at this budget"
 STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
+SCALAR_ROWS = maxmin._SCALAR_ROWS
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +141,73 @@ def test_bad_seed_is_harmless(monkeypatch, shift):
         assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
 
 
+def _replay_checking_every_round(bounds, lo_e, hi_e, tol):
+    """The compare rounds of `maxmin._replay` as first written, in place:
+    every round computes the widths and stops once nothing moves. Returns
+    the last midpoints and the widths if some bracket closed, else None."""
+    lo, hi = bounds
+    closing = False
+    while True:
+        q = 0.5 * (lo + hi)
+        move = np.stack((q <= lo_e, q >= hi_e))
+        width = hi - lo
+        closing = closing or width.min() < tol
+        if closing:
+            move &= width >= tol
+        if not move.any():
+            return q, width if closing else None
+        bounds[move] = np.broadcast_to(q, bounds.shape)[move]
+
+
+@st.composite
+def _open_brackets(draw):
+    # tops over six hundred decades, some brackets raised off 0; tol from
+    # 2 ulp of the widest top, where no bracket can stall, up to 1; each row
+    # a window around a switch inside its bracket, or none
+    rows = draw(st.integers(1, 8))
+    tops = [10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(rows)]
+    lows = [top * draw(st.one_of(st.just(0.0), st.floats(0.0, 0.999))) for top in tops]
+    finest = 2.0 * math.ulp(max(tops))
+    tol = max(finest, min(finest, 1.0) ** (1.0 - draw(st.floats(0.0, 1.0))))
+    lo_e, hi_e = [], []
+    for lo, hi in zip(lows, tops):
+        if draw(st.booleans()):
+            switch = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+            half = (hi - lo) * 10.0 ** draw(st.floats(-15.0, -1.0))
+            lo_e.append(switch - half)
+            hi_e.append(switch + half)
+        else:
+            lo_e.append(-math.inf)
+            hi_e.append(math.inf)
+    return np.array([lows, tops]), np.array(lo_e), np.array(hi_e), tol, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_open_brackets())
+def test_replay_skips_only_rounds_in_which_no_bracket_can_close(case):
+    bounds, lo_e, hi_e, tol, seed = case
+    assert not maxmin._can_stall(tol, float(bounds[1].max()))
+    # whichever bound each round moves, no bracket is narrower than tol
+    # after the rounds counted from the narrowest one
+    rounds = maxmin._rounds_to_close(float((bounds[1] - bounds[0]).min()), tol)
+    lo, hi = bounds
+    for up in np.random.default_rng(seed).random((rounds, len(lo))) < 0.5:
+        q = 0.5 * (lo + hi)
+        lo, hi = np.where(up, q, lo), np.where(up, hi, q)
+        assert (hi - lo >= tol).all()
+    # and the replay, which skips the width checks in those rounds, leaves
+    # the bits of one that checks every round
+    expected = bounds.copy()
+    q_expected, width_expected = _replay_checking_every_round(expected, lo_e, hi_e, tol)
+    q, move, step = np.empty(len(lo)), np.empty(bounds.shape, dtype=bool), np.empty(bounds.shape, dtype=np.int64)
+    width = maxmin._replay(bounds, lo_e, hi_e, tol, False, q, move, step)
+    assert bounds.tobytes() == expected.tobytes() and q.tobytes() == q_expected.tobytes()
+    if width_expected is None:
+        assert width is None
+    else:
+        assert width.tobytes() == width_expected.tobytes()
+
+
 def test_switch_within_ulps_of_a_midpoint():
     # the midpoints depend only on the decisions before them, so phi can be
     # moved until the budget test switches within one ulp of phi exactly at
@@ -241,6 +309,34 @@ def test_stalled_bracket_raises_on_both_paths():
     matrix, phis = _batch([gains, [gains[1]]], eaves, eps)
     with pytest.raises(ValueError, match=f"^{STALLED}$"):
         _maxmin_rows(matrix, phis, budget, tol)
+
+
+@pytest.mark.parametrize(
+    "tol, weak_gain, message",
+    [
+        (math.inf, None, COARSE),
+        (1e300, None, COARSE),
+        (5e-324, None, STALLED),
+        # 1 + g1 P rounds to 1: those brackets are [0, 0], beside open ones
+        (1e-10, 1e-20, COARSE),
+    ],
+    ids=["inf", "1e300", "5e-324", "zero-width bracket"],
+)
+def test_extreme_tolerances_raise_alike_on_both_routes(monkeypatch, tol, weak_gain, message):
+    # a batch as large as the sweeps hand the lockstep, whose replay counts
+    # its rounds from width / tol: no such count may stand in for the error
+    if weak_gain is None:
+        rows, eaves = _two_user_rows(trials=3 * SCALAR_ROWS)
+    else:
+        rows = [[gain, 2.0 * gain] for gain in (weak_gain, 1.0)] * SCALAR_ROWS
+        eaves = 1e-3 * weak_gain
+    gains, phis = _batch(rows, eaves, 0.2)
+    assert len(gains) >= SCALAR_ROWS
+    for scalar_rows in (len(gains) + 1, SCALAR_ROWS):
+        monkeypatch.setattr(maxmin, "_SCALAR_ROWS", scalar_rows)
+        with pytest.raises(ValueError) as raised:
+            _maxmin_rows(gains, phis, 1.0, tol)
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 def test_fine_tolerance_that_closes_is_unchanged():

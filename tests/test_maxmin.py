@@ -19,7 +19,9 @@ from secnoma import (
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
-from secnoma.maxmin import rate_ceiling_two_user
+from secnoma.maxmin import _maxmin_rows, rate_ceiling_two_user
+
+from oracles import maxmin_rate_reference
 
 EPS_E1 = math.exp(-1.0)
 
@@ -181,6 +183,37 @@ def test_closed_form_matches_a_60_digit_reference():
         for i, (value, exact) in enumerate(zip(got, _two_user_reference(g1, g2, phi, p))):
             worst[i] = max(worst[i], abs(decimal.Decimal(value) - exact) / exact)
     assert max(worst) <= 1e-15
+
+
+def _maxmin_instances(rng, per_k):
+    """Feasible max-min instances (ascending gains, phi) with K = 3..8 and phi
+    over six decades: per K, half with g1/phi - 1 over 1e-3..10 and half
+    near the boundary, 1e-8..1e-2; the other gains up to two decades above
+    g1."""
+    for k in range(3, 9):
+        for i in range(per_k):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            margin = 10.0 ** (rng.uniform(-8.0, -2.0) if i % 2 else rng.uniform(-3.0, 1.0))
+            weakest = scale * (1.0 + margin)
+            yield sorted([weakest, *(weakest * 10.0 ** rng.uniform(0.0, 2.0, k - 1))]), scale
+
+
+def test_bisection_matches_a_60_digit_reference_beyond_two_users():
+    # the rate is the switch of the exact test up to tol on both solvers,
+    # near the positive-rate boundary too; the worst errors here are 8.6e-14
+    # (random) and 9.4e-14 (near the boundary)
+    rng, tol = np.random.default_rng(17), 1e-13
+    for budget in (1.0, 100.0):
+        instances = list(_maxmin_instances(rng, per_k=30))
+        gains = np.array([[math.inf] * (8 - len(g)) + g for g, _ in instances])
+        phis = np.array([phi for _, phi in instances])
+        batch = _maxmin_rows(gains, phis, budget, tol)[0]
+        for (row, phi), lockstep in zip(instances, batch.tolist()):
+            # the eavesdropper gain is the stringency itself at EPS_E1
+            scalar = solve_maxmin_bisection(ChannelRealization(tuple(row), phi), EPS_E1, budget, tol).rate
+            exact = maxmin_rate_reference(row, phi, budget)
+            assert abs(decimal.Decimal(scalar) - exact) <= tol
+            assert abs(decimal.Decimal(lockstep) - exact) <= tol
 
 
 @pytest.mark.parametrize("gain", [1e110, 1e160])
