@@ -164,19 +164,22 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(flat, dtype=np.uint64)
 
 
-def _hasher(init, mult):
-    # SeedSequence's hashmix; its hash constant steps the same way whatever
-    # the data, so one closure per pass reproduces the sequence
-    const = init
+def _hash_constants(init, mult, num):
+    """The first `num` hash constants of a SeedSequence pass, init * mult**i
+    mod 2**32: they step the same way whatever the data."""
+    const = np.full(num, mult, dtype=np.uint32)
+    const[0] = init
+    return np.multiply.accumulate(const, out=const)
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
 
-    return hashmix
+def _hashmix(words, xor, mul, scratch=None):
+    """SeedSequence's hashmix, in place: each word xor its hash constant,
+    times the next constant, xor its own high half (shifted into `scratch`
+    if given)."""
+    words ^= xor
+    words *= mul
+    words ^= np.right_shift(words, 16, out=scratch)
+    return words
 
 
 def _mix(x, y):
@@ -184,31 +187,61 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+def _generate_state(words):
+    """SeedSequence.generate_state(n, uint64) from uint32 `words`, the pool
+    cycled to 2n words along the last axis; hashed in place."""
+    const = _hash_constants(*_STATE_HASH, words.shape[-1] + 1)
+    # one row of words (`trial_seeds`) shifts into its spent constants, so
+    # its peak stays at two buffers of its size
+    _hashmix(words, const[:-1], const[1:], scratch=const[:-1] if words.ndim == 1 else None)
+    # pairs of words assembled little-endian, as numpy does on any platform
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+# The pool pass hashes the four entropy words (steps 0-3), then each source
+# word once for every other pool word in turn, stepping its constant each
+# time: _CROSS[src][dst] = 4 + 3 src + (dst's place among the other three)
+# is the step of that hash, the source's own slot a placeholder; 16 steps.
+_CROSS = [[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(4)] for src in range(4)]
+
+
 def _philox_keys(seeds):
     """(2, N, 1) Philox keys: `SeedSequence(seeds[i]).generate_state(2, uint64)`."""
-    low = (seeds & _MASK32).astype(np.uint32)
     # a seed below 2**32 is one entropy word, but the pool hashes a missing
     # word as 0, so every seed is the pair (low, high) padded with zeros
-    entropy = (low, (seeds >> 32).astype(np.uint32), np.zeros_like(low), np.zeros_like(low))
-    hashmix = _hasher(*_POOL_HASH)
-    pool = [hashmix(word) for word in entropy]
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    const = _hash_constants(*_POOL_HASH, 17)[:, None]
+    _hashmix(pool, const[:4], const[1:5])
+    xor, mul = const[_CROSS], const[1:][_CROSS]
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    hashmix = _hasher(*_STATE_HASH)
-    words = [hashmix(word).astype(np.uint64) for word in pool]
-    # two uint64 words assembled little-endian from four uint32 words
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32])[:, :, None]
+        # every other word mixes with the source's hash at once; the
+        # source's own row keeps its value
+        hashed = _hashmix(np.repeat(pool[src : src + 1], 4, axis=0), xor[src], mul[src])
+        mixed = _mix(pool, hashed)
+        mixed[src] = pool[src]
+        pool = mixed
+    return _generate_state(np.ascontiguousarray(pool.T)).T[:, :, None]
 
 
-def _mulhilo(a, b):
-    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves."""
+def _mulhilo(a, b, b_lo, b_hi):
+    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves
+    (b_lo, b_hi of b)."""
     a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    middle = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    high = a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (middle >> 32)
+    # (lo_lo >> 32) + (hi_lo & MASK) + lo_hi is at most (2**32 - 1)**2
+    # + 2 (2**32 - 1) = 2**64 - 1, so the middle sum cannot wrap
+    middle = a_lo * b_hi
+    a_lo *= b_lo
+    a_lo >>= 32
+    middle += a_lo
+    high = a_hi * b_hi
+    a_hi *= b_lo
+    middle += a_hi & _MASK32
+    a_hi >>= 32
+    high += a_hi
+    middle >>= 32
+    high += middle
     return high, a * b
 
 
@@ -237,6 +270,7 @@ def _block_uniforms(seeds, num):
     """`_trial_uniforms` on one block of seeds, all at once."""
     key = _philox_keys(seeds)
     mult, weyl = (np.array(c, dtype=np.uint64).reshape(2, 1, 1) for c in (_PHILOX_M, _PHILOX_W))
+    mult_lo, mult_hi = mult & _MASK32, mult >> 32
     blocks = -(-num // 4)
     # the four counter words as (even, odd) = ((c0, c2), (c1, c3)); numpy
     # increments the counter before each block, so block b runs on b + 1
@@ -246,7 +280,7 @@ def _block_uniforms(seeds, num):
     for r in range(_PHILOX_ROUNDS):
         if r:
             key = key + weyl
-        high, low = _mulhilo(mult, even)
+        high, low = _mulhilo(even, mult, mult_lo, mult_hi)
         even, odd = high[::-1] ^ odd ^ key, low[::-1]
     # each block yields c0, c1, c2, c3 in turn
     words = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(seeds.size, 4 * blocks)
@@ -297,6 +331,13 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 
     The mapping is deterministic in (seed, trials prefix): extending the batch
     keeps earlier sub-seeds unchanged, so reductions in trial-index order are
-    stable however the trials are scheduled.
+    stable however the trials are scheduled. The sub-seeds are
+    `SeedSequence(seed).generate_state(trials, uint64)` bit for bit, hashed
+    from the root's pool, cycled to two words a trial, as whole arrays.
     """
-    return np.random.SeedSequence(int(seed)).generate_state(int(trials), dtype=np.uint64)
+    pool = np.random.SeedSequence(int(seed)).pool
+    size = 2 * int(trials)
+    if size < 0:
+        raise ValueError("trials must be nonnegative")
+    words = np.tile(pool, -(-size // pool.size))[:size]
+    return _generate_state(words)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
@@ -85,6 +86,11 @@ class SweepSpec:
         axis, allowed, _ = _KINDS[self.kind]
         if self.axis.name != axis:
             raise ValueError(f"sweep kind {self.kind!r} varies {axis!r}, not {self.axis.name!r}")
+        for key in ("trials", "seed"):
+            # a float or a bool would run truncated but print as given in every row
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:
@@ -341,16 +347,30 @@ def _fmt(value):
     return format(float(value), ".12g")
 
 
+def _open_untruncated(path, flags):
+    # open()'s own flags (O_CLOEXEC, O_BINARY on Windows) without O_TRUNC:
+    # a rerun overwrites the old file from its start, and keeps its inode,
+    # mode and hard links
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_results(rows: list[AggregateResult], path) -> None:
     """Serialize aggregate rows as CSV with a fixed header and fixed float
-    formatting (12 significant digits), so reruns are byte-identical."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for r in rows:
-            fh.write(
-                f"{_fmt(r.x)},{r.scheme},{r.metric},{_fmt(r.value)},{_fmt(r.stderr)},"
-                f"{_fmt(r.feasible_frac)},{r.trials},{r.seed}\n"
-            )
+    formatting (12 significant digits), so reruns are byte-identical.
+
+    An existing file is rewritten in place and cut to the new length at the
+    end, so it is never left empty part way through a rewrite, and a rewrite
+    stopped by an error leaves no row of the old file behind its new rows."""
+    with open(path, "w", newline="", opener=_open_untruncated) as fh:
+        try:
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for r in rows:
+                fh.write(
+                    f"{_fmt(r.x)},{r.scheme},{r.metric},{_fmt(r.value)},{_fmt(r.stderr)},"
+                    f"{_fmt(r.feasible_frac)},{r.trials},{r.seed}\n"
+                )
+        finally:
+            fh.truncate()
 
 
 def read_results(path) -> list[AggregateResult]:

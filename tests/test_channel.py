@@ -18,6 +18,7 @@ from secnoma import (
     sample_trial_gains,
     trial_seeds,
 )
+from secnoma import channel
 
 
 def test_db_conversions():
@@ -130,6 +131,26 @@ def test_normalized_gain_is_unit_exponential():
 def test_trial_seeds_prefix_stable():
     assert np.array_equal(trial_seeds(42, 5), trial_seeds(42, 10)[:5])
     assert not np.array_equal(trial_seeds(42, 5), trial_seeds(43, 5))
+
+
+# one to five pool words of entropy, at both ends of the 32- and 64-bit ranges
+ROOT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5]
+
+
+@pytest.mark.parametrize("seed", ROOT_SEEDS)
+def test_trial_seeds_equal_numpy_generate_state(seed):
+    # odd word counts and one past a draw block: the pool is cycled four
+    # words at a time and sliced to two words a trial
+    for trials in (0, 1, 2, 3, 5, channel._DRAW_BLOCK + 3):
+        got = trial_seeds(seed, trials)
+        want = np.random.SeedSequence(seed).generate_state(trials, np.uint64)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_trial_seeds_reject_a_negative_root():
+    with pytest.raises(ValueError):
+        trial_seeds(-1, 3)
 
 
 @settings(max_examples=50, deadline=None)

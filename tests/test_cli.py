@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secnoma.cli
 from secnoma import (
@@ -193,6 +198,67 @@ def test_stalled_tolerance_is_one_line_error(tmp_path):
         rc, out, err = run_cli(*args)
         assert rc == EXIT_USAGE and out == ""
         assert err == "error: tolerance finer than the float spacing of the rate: the bracket stopped shrinking\n"
+
+
+# the values that reach the arithmetic's edges, put in any float option
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320]
+
+# ordinary values are mostly valid, so that some calls reach a result
+_EPS = st.floats(0.01, 0.99)
+_CHANNEL_OPTIONS = st.one_of(
+    st.fixed_dictionaries({
+        "gains-db": st.lists(st.floats(10.0, 40.0), min_size=1, max_size=4),
+        "eaves-db": st.floats(-20.0, 0.0),
+    }),
+    st.fixed_dictionaries(
+        {"num-users": st.integers(1, 4), "d-user": st.floats(1.0, 200.0), "d-eave": st.floats(1.0, 200.0)},
+        optional={
+            "alpha": st.floats(2.0, 5.0),
+            "noise-dbm": st.floats(-100.0, -40.0),
+            "eaves-noise-dbm": st.floats(-100.0, -40.0),
+            "seed": st.integers(-1, 2**64),
+        },
+    ),
+)
+_SCALAR_CALLS = st.one_of(
+    st.tuples(st.just("min-power"), st.fixed_dictionaries({"q": st.floats(0.01, 3.0), "eps": _EPS})),
+    st.tuples(
+        st.just("max-min-rate"),
+        st.fixed_dictionaries(
+            {"p-dbm": st.floats(0.0, 40.0), "eps": _EPS}, optional={"tol": st.floats(1e-12, 1e-3)}
+        ),
+    ),
+    st.tuples(st.just("compare-oma"), st.fixed_dictionaries({"p-dbm": st.floats(0.0, 40.0), "eps": _EPS})),
+)
+
+
+@st.composite
+def _scalar_argv(draw):
+    """A scalar subcommand with a complete channel, so no usage error, and
+    up to three of its float options (a gain among them) at an edge value."""
+    command, options = draw(_SCALAR_CALLS)
+    options.update(draw(_CHANNEL_OPTIONS))
+    floats = sorted(key for key, value in options.items() if isinstance(value, (float, list)))
+    for key, edge in draw(st.dictionaries(st.sampled_from(floats), st.sampled_from(_EDGE_FLOATS), max_size=3)).items():
+        options[key] = options[key] + [edge] if key == "gains-db" else edge
+    # every value through `=`, so argparse never reads a negative number as a flag
+    argv = [command]
+    for key, value in options.items():
+        text = ",".join(map(repr, value)) if key == "gains-db" else repr(value)
+        argv.append(f"--{key}={text}")
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_scalar_argv())
+def test_scalar_calls_end_cleanly_on_any_float(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = secnoma.cli.main(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE)
+    assert err.getvalue().count("\n") <= 1
+    if rc == EXIT_OK:
+        assert not re.search("nan|inf", out.getvalue(), re.IGNORECASE), out.getvalue()
 
 
 def test_max_min_rate_worked_instance():

@@ -138,6 +138,11 @@ def test_spec_validation():
         SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), trials=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), seed=-1)
+    # a non-integer count or seed would run truncated but print as given
+    for key, value in (("trials", 20.7), ("trials", 20.0), ("trials", True), ("seed", 1.5), ("seed", True)):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, not {value!r}$"):
+            SweepSpec("avg_rate_vs_eps", SweepAxis("eps", 0.1, 0.4, 4), {}, **{key: value})
+    assert SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), trials=np.int64(3), seed=np.uint64(2)).trials == 3
     with pytest.raises(ValueError):
         AggregateResult(1.0, "noma", "m", 0.0, -1.0, 1.0, 1, 0)
     with pytest.raises(ValueError):
@@ -349,6 +354,65 @@ def test_write_is_byte_identical_across_reruns(tmp_path):
     first, second = (p.read_bytes() for p in paths)
     assert first == second
     assert first.startswith((",".join(CSV_HEADER) + "\n").encode())
+
+
+_ROWS = [
+    AggregateResult(0.1, "noma", "total_power", 0.25, 0.0, 1.0, 1, 0),
+    AggregateResult(0.2, "noma", "total_power", 0.5, 0.0, 1.0, 1, 0),
+]
+
+
+def _csv_bytes(tmp_path, rows):
+    # the bytes of a write to a file that did not exist
+    path = tmp_path / "fresh.csv"
+    path.unlink(missing_ok=True)
+    write_results(rows, path)
+    return path.read_bytes()
+
+
+def test_rewrite_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"junk," * 10_000)
+    write_results(_ROWS, path)
+    assert path.read_bytes() == _csv_bytes(tmp_path, _ROWS)
+    # and again over a file the new rows only partly cover
+    write_results(_ROWS[:1], path)
+    assert path.read_bytes() == _csv_bytes(tmp_path, _ROWS[:1])
+
+
+def test_rewrite_stopped_by_an_error_keeps_no_old_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"junk," * 10_000)
+    bad = AggregateResult(0.3, "noma", "total_power", "not a number", 0.0, 1.0, 1, 0)
+    with pytest.raises(ValueError):
+        write_results([*_ROWS, bad], path)
+    assert path.read_bytes() == _csv_bytes(tmp_path, _ROWS)
+
+
+def test_missing_file_is_created(tmp_path):
+    path = tmp_path / "new.csv"
+    write_results(_ROWS, path)
+    assert read_results(path) == _ROWS
+
+
+def test_rewrite_through_a_symlink_lands_in_the_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"junk\n" * 1000)
+    link.symlink_to(target)
+    write_results(_ROWS, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == _csv_bytes(tmp_path, _ROWS)
+
+
+def test_rewrite_keeps_hard_links_and_mode(tmp_path):
+    path, other = tmp_path / "rows.csv", tmp_path / "other.csv"
+    path.write_bytes(b"junk\n" * 1000)
+    path.chmod(0o640)
+    other.hardlink_to(path)
+    write_results(_ROWS, path)
+    assert other.read_bytes() == _csv_bytes(tmp_path, _ROWS)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert path.stat().st_ino == other.stat().st_ino
 
 
 def test_read_round_trips_including_nan(tmp_path):

@@ -35,3 +35,12 @@ def test_study_csv_matches_golden_digest(name, tmp_path):
     assert run_fig_sweeps.main(["--outdir", str(tmp_path), "--only", name]) == 0
     path = tmp_path / f"{name}.csv"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["gain_vs_users_equal_stats", "power_vs_qos"])
+def test_rerun_over_a_longer_stale_csv_matches_golden_digest(name, tmp_path):
+    # a rerun rewrites the CSV in place: nothing of the old file may survive
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(b"stale,row\n" * 10_000)
+    assert run_fig_sweeps.main(["--outdir", str(tmp_path), "--only", name]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
