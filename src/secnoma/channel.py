@@ -198,31 +198,24 @@ def _generate_state(words):
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-# The pool pass hashes the four entropy words (steps 0-3), then each source
-# word once for every other pool word in turn, stepping its constant each
-# time: _CROSS[src][dst] = 4 + 3 src + (dst's place among the other three)
-# is the step of that hash, the source's own slot a placeholder; 16 steps.
-_CROSS = [[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(4)] for src in range(4)]
-
-
 def _philox_keys(seeds):
     """(2, N, 1) Philox keys: `SeedSequence(seeds[i]).generate_state(2, uint64)`."""
+    low = (seeds & _MASK32).astype(np.uint32)
     # a seed below 2**32 is one entropy word, but the pool hashes a missing
     # word as 0, so every seed is the pair (low, high) padded with zeros
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds & _MASK32
-    pool[1] = seeds >> 32
-    const = _hash_constants(*_POOL_HASH, 17)[:, None]
-    _hashmix(pool, const[:4], const[1:5])
-    xor, mul = const[_CROSS], const[1:][_CROSS]
+    pool = [low, (seeds >> 32).astype(np.uint32), np.zeros_like(low), np.zeros_like(low)]
+    # the pool pass steps its hash constant once per hash: the four entropy
+    # words, then each source word once for every other word
+    const = _hash_constants(*_POOL_HASH, 17)
+    for step, word in enumerate(pool):
+        _hashmix(word, const[step], const[step + 1])
+    step = 4
     for src in range(4):
-        # every other word mixes with the source's hash at once; the
-        # source's own row keeps its value
-        hashed = _hashmix(np.repeat(pool[src : src + 1], 4, axis=0), xor[src], mul[src])
-        mixed = _mix(pool, hashed)
-        mixed[src] = pool[src]
-        pool = mixed
-    return _generate_state(np.ascontiguousarray(pool.T)).T[:, :, None]
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src].copy(), const[step], const[step + 1]))
+                step += 1
+    return _generate_state(np.stack(pool, axis=1)).T[:, :, None]
 
 
 def _mulhilo(a, b, b_lo, b_hi):

@@ -11,6 +11,7 @@ import csv
 import math
 import numbers
 import os
+import stat
 from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
@@ -349,8 +350,7 @@ def _fmt(value):
 
 def _open_untruncated(path, flags):
     # open()'s own flags (O_CLOEXEC, O_BINARY on Windows) without O_TRUNC:
-    # a rerun overwrites the old file from its start, and keeps its inode,
-    # mode and hard links
+    # a rerun overwrites the old file from its start
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
@@ -358,9 +358,13 @@ def write_results(rows: list[AggregateResult], path) -> None:
     """Serialize aggregate rows as CSV with a fixed header and fixed float
     formatting (12 significant digits), so reruns are byte-identical.
 
-    An existing file is rewritten in place and cut to the new length at the
-    end, so it is never left empty part way through a rewrite, and a rewrite
-    stopped by an error leaves no row of the old file behind its new rows."""
+    An existing file is overwritten from its first byte and cut to the new
+    length at the end, not truncated to zero first: on ext4 a truncate to zero
+    makes the close start write-back of the new data, which costs more than
+    the write. A rewrite stopped by a Python error still leaves only its new
+    rows. A process killed before the cut, or a power loss, can instead leave
+    bytes of the old file after (or in place of) the new rows, where
+    truncating first could leave only an empty or short file."""
     with open(path, "w", newline="", opener=_open_untruncated) as fh:
         try:
             fh.write(",".join(CSV_HEADER) + "\n")
@@ -370,7 +374,9 @@ def write_results(rows: list[AggregateResult], path) -> None:
                     f"{_fmt(r.feasible_frac)},{r.trials},{r.seed}\n"
                 )
         finally:
-            fh.truncate()
+            # a pipe, terminal or device has no length to cut
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def read_results(path) -> list[AggregateResult]:

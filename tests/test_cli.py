@@ -354,6 +354,21 @@ def test_sweep_runs_and_reruns_identically(tmp_path):
     assert data.startswith(b"x,scheme,metric,value,stderr,feasible_frac,trials,seed\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/null and /dev/stdout")
+def test_sweep_writes_to_a_device_or_a_pipe(tmp_path):
+    # neither has a length to cut after the rows
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CONFIG)
+    rc, stdout, err = run_cli("sweep", "--config", str(cfg), "--out", os.devnull)
+    assert (rc, err) == (EXIT_OK, "")
+    assert f"wrote 9 rows to {os.devnull}" in stdout
+    # run_cli's stdout is a pipe
+    rc, stdout, err = run_cli("sweep", "--config", str(cfg), "--out", "/dev/stdout")
+    assert (rc, err) == (EXIT_OK, "")
+    assert stdout.startswith("x,scheme,metric,value,stderr,feasible_frac,trials,seed\n")
+    assert stdout.count("\n") == 11
+
+
 def test_sweep_config_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kind power_vs_Q\n")
