@@ -148,6 +148,13 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
+def _require_integer(name, value):
+    """Reject a float or a bool where a count belongs: either would run
+    truncated. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def _seed_array(seeds) -> np.ndarray:
     """Per-trial seeds as a flat uint64 array; anything but integers in
     [0, 2**64) is rejected."""
@@ -328,6 +335,7 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
     `SeedSequence(seed).generate_state(trials, uint64)` bit for bit, hashed
     from the root's pool, cycled to two words a trial, as whole arrays.
     """
+    _require_integer("trials", trials)
     pool = np.random.SeedSequence(int(seed)).pool
     size = 2 * int(trials)
     if size < 0:

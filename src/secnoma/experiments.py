@@ -20,6 +20,7 @@ from .channel import (
     ChannelRealization,
     _gains_from_uniforms,
     _geometry,
+    _require_integer,
     _trial_uniforms,
     db_to_linear,
     dbm_to_mw,
@@ -50,6 +51,7 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
+        _require_integer("steps", self.steps)
         if self.steps < 1:
             raise ValueError("axis needs at least one step")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -88,10 +90,8 @@ class SweepSpec:
         if self.axis.name != axis:
             raise ValueError(f"sweep kind {self.kind!r} varies {axis!r}, not {self.axis.name!r}")
         for key in ("trials", "seed"):
-            # a float or a bool would run truncated but print as given in every row
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
+            # a float or a bool would also print as given in every row
+            _require_integer(key, getattr(self, key))
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:

@@ -71,13 +71,11 @@ def solve_maxmin_bisection(
     solve (see `_window`); the result is the plain bisection's.
     """
     _check_budget_and_tol(power_budget_mw, tol)
-    if not check_positive_rate_feasibility(channel, eps):
-        return _positive_rate_verdict(channel, eps)
     gains = channel.user_gains
     phi = _stringency(channel.eaves_avg_gain, eps)
-    # the optimal-time TDMA rate (tdma_maxmin's) is a feasible floor
-    floor, _ = _optimal_time(_tdma_slots(gains, phi, power_budget_mw)[0])
-    rate, iterations = _bisect(gains, phi, power_budget_mw, tol, floor)
+    if not gains[0] > phi:
+        return _positive_rate_verdict(channel, eps)
+    rate, _, _, iterations = _maxmin(gains, phi, power_budget_mw, tol)
     if rate == 0.0:
         raise ValueError(_TOO_COARSE)
     powers, _, _, _ = _recursion(gains, phi, 2.0 ** rate)
@@ -104,13 +102,23 @@ def _bracket_top(weakest, power_budget_mw):
     return hi
 
 
-def _bisect(gains, phi, power_budget_mw, tol, floor):
-    """`solve_maxmin_bisection`'s bisection on one instance's ascending
-    gains, whose weakest must clear phi, with a feasible floor in floor (the
-    optimal-time TDMA rate). Returns (rate, iterations), rate 0.0 if no
+def _maxmin(gains, phi, power_budget_mw, tol):
+    """The max-min kernel of one instance's ascending gains, whose weakest
+    must clear phi: (rate, optimal-time TDMA rate, equal-time TDMA rate,
+    iterations) of `solve_maxmin_bisection` and `tdma_maxmin`, rate 0.0 if
+    the bisection accepted no floor. Raises where the bracket overflows."""
+    full, rate_eq, hi = _tdma_slots(gains, phi, power_budget_mw)
+    # the optimal-time TDMA rate is a feasible floor
+    rate_opt, _ = _optimal_time(full)
+    rate, iterations = _bisect(gains, phi, power_budget_mw, tol, rate_opt, hi)
+    return rate, rate_opt, rate_eq, iterations
+
+
+def _bisect(gains, phi, power_budget_mw, tol, floor, hi):
+    """`_maxmin`'s bisection over [0, hi], hi the bracket top, with a
+    feasible floor in floor. Returns (rate, iterations), rate 0.0 if no
     floor was accepted."""
     lo = 0.0
-    hi = _bracket_top(gains[0], power_budget_mw)
     lo_e, hi_e = _window(gains, phi, power_budget_mw, hi, floor)
     narrow = _can_stall(tol, hi)
     iterations = 0
@@ -155,12 +163,12 @@ def _slot_rate_full(gain, phi, p):
 
 
 def _tdma_slots(gains, phi, p):
-    """The per-slot TDMA rates of one instance's ascending gains, and their
-    equal-time common rate (tdma_maxmin's). Raises where the bisection's
-    bracket would overflow."""
-    _bracket_top(gains[0], p)
+    """The per-slot TDMA rates of one instance's ascending gains, their
+    equal-time common rate (tdma_maxmin's) and the bisection's bracket top,
+    which raises where it overflows."""
+    hi = _bracket_top(gains[0], p)
     full = [_slot_rate_full(g, phi, p) for g in gains]
-    return full, min(full) / len(full)
+    return full, min(full) / len(full), hi
 
 
 def _optimal_time(slots):
@@ -418,7 +426,7 @@ def _maxmin_rows(gains, phi, power_budget_mw, tol):
 
     A row with fewer than K users holds its gains, ascending, in its last
     columns and +inf in the leading ones. Fewer than _SCALAR_ROWS rows are
-    solved one at a time on the scalar kernels, others in one `_lockstep`.
+    solved one at a time by `_maxmin`, others in one `_lockstep`.
     Either way the budget, the tolerance and every row's bracket are checked
     before any row is bisected, and a tolerance too coarse for some row
     raises once every row is.
@@ -427,10 +435,9 @@ def _maxmin_rows(gains, phi, power_budget_mw, tol):
     if len(gains) < _SCALAR_ROWS:
         # drop each row's padding: its +inf gains left of the last column
         rows = [(g[g[:-1].count(math.inf) :], f) for g, f in zip(gains.tolist(), phi.tolist())]
-        slots = [_tdma_slots(g, f, power_budget_mw) for g, f in rows]
-        floor = [_optimal_time(full)[0] for full, _ in slots]
-        rate = [_bisect(g, f, power_budget_mw, tol, low)[0] for (g, f), low in zip(rows, floor)]
-        rates = np.array([rate, floor, [eq for _, eq in slots]])
+        for g, _ in rows:
+            _bracket_top(g[0], power_budget_mw)  # every bracket before any bisection
+        rates = np.array([_maxmin(g, f, power_budget_mw, tol)[:3] for g, f in rows]).reshape(-1, 3).T
     else:
         rates = _lockstep(gains, phi, power_budget_mw, tol)
     if not (rates[0] > 0.0).all():

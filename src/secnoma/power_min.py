@@ -8,10 +8,11 @@ set of strict denominator conditions checked as the recursion proceeds.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .channel import ChannelRealization
-from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, max_codeword_rate
+from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, _sum
 
 # denominators this close to zero, relative to the user's gain, mean the
 # required power diverges
@@ -143,19 +144,25 @@ def solve_min_power(
     would fail as well).
     """
     phi = req.stringency(channel)
-    rho = 2.0 ** req.qos_rate
-    powers, _, _, failing = _recursion(channel.user_gains, phi, rho)
+    powers, _, _, failing = _recursion(channel.user_gains, phi, 2.0 ** req.qos_rate)
     if powers is None:
         last = failing == channel.num_users
         reason = InfeasibleReason.USER_CONDITION_LAST if last else InfeasibleReason.USER_CONDITION_INNER
         return InfeasibleVerdict(frozenset({failing}), reason)
+    return _solution(channel.user_gains, powers, req.qos_rate)
 
+
+def _solution(gains, powers, q):
+    """The solution of the recursion's powers on ascending gains, with
+    `max_codeword_rate`'s rate pairs in one pass: codeword rate k is
+    log2((1 + g_k (s + p_k)) / (1 + g_k s)), s the stronger users' powers
+    added as `_suffix_power` adds them."""
     alloc = PowerAllocation(tuple(powers))
-    pairs = tuple(
-        RatePair(max_codeword_rate(channel, alloc, k), req.qos_rate)
-        for k in range(1, channel.num_users + 1)
-    )
-    return PowerMinSolution(alloc, pairs, alloc.total_mw)
+    pairs = []
+    for k, (g, p) in enumerate(zip(gains, powers), 1):
+        s = _sum(powers[k:])
+        pairs.append(RatePair(math.log2((1.0 + g * (s + p)) / (1.0 + g * s)), q))
+    return PowerMinSolution(alloc, tuple(pairs), alloc.total_mw)
 
 
 @dataclass(frozen=True)
@@ -174,17 +181,19 @@ def select_users(channel: ChannelRealization, req: SecrecyRequirement) -> UserSe
     Each greedy trial is a strongest-first suffix of the eligible users, and
     the backward recursion on a longer suffix repeats the shorter one's
     powers, so one recursion over all eligible users finds where admission
-    stops: just above the first user whose condition fails.
+    stops, just above the first user whose condition fails, and gives the
+    solution's powers. Only when it stops early does the recursion run once
+    more, on the admitted users alone, for their powers.
     """
     phi = req.stringency(channel)
     rho = 2.0 ** req.qos_rate
     threshold = phi * rho
-    eligible = [k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] > threshold]
-    if not eligible:
-        return UserSelection((), None)
-    powers, _, _, failing = _recursion([channel.user_gains[k - 1] for k in eligible], phi, rho)
-    selected = tuple(eligible if powers is not None else eligible[failing:])
-    if not selected:
-        return UserSelection((), None)
-    sub = ChannelRealization(tuple(channel.user_gains[k - 1] for k in selected), channel.eaves_avg_gain)
-    return UserSelection(selected, solve_min_power(sub, req))
+    # gains ascend, so the eligible users are the strongest ones
+    gains = [g for g in channel.user_gains if g > threshold]
+    while gains:
+        powers, _, _, failing = _recursion(gains, phi, rho)
+        if powers is not None:
+            selected = tuple(range(channel.num_users - len(gains) + 1, channel.num_users + 1))
+            return UserSelection(selected, _solution(gains, powers, req.qos_rate))
+        gains = gains[failing:]
+    return UserSelection((), None)

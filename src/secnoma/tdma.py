@@ -11,19 +11,22 @@ from dataclasses import dataclass
 from ._lazy import lazy_module
 from .channel import ChannelRealization
 from .maxmin import (
+    _TOO_COARSE,
     DEFAULT_TOL,
     _check_budget,
+    _maxmin,
     _optimal_time,
     _slot_rate_full,
     _tdma_slots,
     check_positive_rate_feasibility,
-    solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
 from .power_min import InfeasibleReason, InfeasibleVerdict, _alone
 from .secrecy import _stringency, _sum
 
 np = lazy_module("numpy")
+
+_INFEASIBLE = "instance infeasible: no positive common rate exists"
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,13 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     _check_budget(p_mw)
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
-    full, rate_eq = _tdma_slots(channel.user_gains, phi, p_mw)
-    equal = TimeAllocation(tuple(1.0 / num for _ in range(num)))
-    if mode == "equal_time":
-        return TdmaMaxMin(rate_eq, equal)
-    rate, fractions = _optimal_time(full)
-    if fractions is None:
-        return TdmaMaxMin(0.0, equal)
-    return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
+    full, rate, _ = _tdma_slots(channel.user_gains, phi, p_mw)
+    if mode == "optimal_time":
+        rate, fractions = _optimal_time(full)
+        if fractions is not None:
+            return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
+    # equal slots, also when optimal time has no positive rate (0.0)
+    return TdmaMaxMin(rate, TimeAllocation((1.0 / num,) * num))
 
 
 def tdma_min_power(
@@ -136,24 +138,33 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
     the bisection tolerance when the bisection produced the rate) fails,
     since that would mean a solver bug rather than a modelling outcome.
     """
+    gains = channel.user_gains
     if channel.num_users == 2:
         noma = solve_maxmin_two_user(channel, eps, p_mw)
+        if isinstance(noma, InfeasibleVerdict):
+            raise ValueError(_INFEASIBLE)
+        # tdma_maxmin's rates in both modes, from one pass over the slots
+        full, rate_eq, _ = _tdma_slots(gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
+        rate_opt, _ = _optimal_time(full)
+        rate, iterations = noma.rate, 0
     else:
-        noma = solve_maxmin_bisection(channel, eps, p_mw)
-    if isinstance(noma, InfeasibleVerdict):
-        raise ValueError("instance infeasible: no positive common rate exists")
-    # tdma_maxmin's rates in both modes, from one pass over the slots
-    full, rate_eq = _tdma_slots(channel.user_gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
-    rate_opt, _ = _optimal_time(full)
+        # solve_maxmin_bisection's checks and kernel, with no allocation
+        _check_budget(p_mw)
+        phi = _stringency(channel.eaves_avg_gain, eps)
+        if not gains[0] > phi:
+            raise ValueError(_INFEASIBLE)
+        rate, rate_opt, rate_eq, iterations = _maxmin(gains, phi, p_mw, DEFAULT_TOL)
+        if rate == 0.0:
+            raise ValueError(_TOO_COARSE)
 
-    lo, hi = channel.user_gains[0], channel.user_gains[-1]
+    lo, hi = gains[0], gains[-1]
     # the bisection certifies the optimum only to within its tolerance
-    slack = DEFAULT_TOL if noma.iterations_used > 0 else 0.0
-    if (hi - lo) / lo > 1e-6 and not (noma.rate + slack > rate_opt):
+    slack = DEFAULT_TOL if iterations > 0 else 0.0
+    if (hi - lo) / lo > 1e-6 and not (rate + slack > rate_opt):
         raise RuntimeError("superposition failed to beat optimal TDMA on unequal gains")
-    if hi == lo and abs(noma.rate - rate_opt) > 1e-8:
+    if hi == lo and abs(rate - rate_opt) > 1e-8:
         raise RuntimeError("equal gains must equalize superposition and optimal TDMA")
-    return MaxMinComparison(noma.rate, rate_opt, rate_eq, noma.rate / rate_opt)
+    return MaxMinComparison(rate, rate_opt, rate_eq, rate / rate_opt)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,15 @@ def test_trial_seeds_reject_a_negative_root():
         trial_seeds(-1, 3)
 
 
+def test_trial_seeds_reject_a_fractional_or_bool_count():
+    # a float count was truncated and True counted as one trial
+    for trials in (2.7, 3.0, True):
+        with pytest.raises(ValueError, match=f"^trials must be an integer, not {trials!r}$"):
+            trial_seeds(11, trials)
+    assert np.array_equal(trial_seeds(11, np.int64(3)), trial_seeds(11, 3))
+    assert np.array_equal(trial_seeds(11, np.uint32(3)), trial_seeds(11, 3))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     dists=st.lists(st.floats(1.0, 500.0), min_size=1, max_size=6),

@@ -143,6 +143,11 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=f"^{key} must be an integer, not {value!r}$"):
             SweepSpec("avg_rate_vs_eps", SweepAxis("eps", 0.1, 0.4, 4), {}, **{key: value})
     assert SweepSpec("power_vs_Q", SweepAxis("q", 0.1, 0.4, 4), trials=np.int64(3), seed=np.uint64(2)).trials == 3
+    # a fractional step count would fail late in range(), and True would run one point
+    for steps in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, not {steps!r}$"):
+            SweepAxis("q", 0.1, 0.3, steps)
+    assert SweepAxis("q", 0.1, 0.3, np.int64(3)).values() == SweepAxis("q", 0.1, 0.3, 3).values()
     with pytest.raises(ValueError):
         AggregateResult(1.0, "noma", "m", 0.0, -1.0, 1.0, 1, 0)
     with pytest.raises(ValueError):

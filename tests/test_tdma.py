@@ -7,11 +7,13 @@ from secnoma import (
     ChannelRealization,
     InfeasibleReason,
     InfeasibleVerdict,
+    MaxMinComparison,
     SecrecyRequirement,
     TdmaMinPower,
     TimeAllocation,
     compare_maxmin,
     noma_rate_region_boundary,
+    solve_maxmin_bisection,
     solve_min_power,
     tdma_maxmin,
     tdma_min_power,
@@ -156,6 +158,42 @@ def test_compare_accepts_bisection_within_its_tolerance():
 def test_compare_raises_when_infeasible():
     with pytest.raises(ValueError):
         compare_maxmin(ChannelRealization((0.5, 10.0), 1.0), EPS_E1, 1.0)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, RuntimeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("num", [1, 3, 4, 5, 6, 7, 8])
+def test_compare_equals_the_public_solvers_bit_for_bit(num):
+    # beyond two users compare_maxmin's rates are the bisection's and
+    # tdma_maxmin's; an infeasible instance raises where the bisection
+    # gives a verdict, and an overflowing or too-coarse one raises the same
+    # error in both
+    rng = np.random.default_rng(1900 + num)
+    for i in range(40):
+        phi = float(rng.uniform(0.1, 2.0))
+        budget = float(10.0 ** rng.uniform(-1.0, 2.0))
+        if i % 5 == 1:
+            # every gain times the budget overflows
+            phi, budget = 100.0 * phi, 1e308
+        elif i % 5 == 2:
+            budget = 1e-14  # the rate is below the default tolerance
+        gains = np.sort(phi * 10.0 ** rng.uniform(-0.2, 2.5, num))
+        channel = ChannelRealization(tuple(gains.tolist()), phi)
+        noma = _outcome(lambda: solve_maxmin_bisection(channel, EPS_E1, budget))
+        cmp = _outcome(lambda: compare_maxmin(channel, EPS_E1, budget))
+        if isinstance(noma, InfeasibleVerdict):
+            assert cmp == (ValueError, "instance infeasible: no positive common rate exists")
+        elif isinstance(noma, tuple):
+            assert cmp == noma
+        else:
+            opt = tdma_maxmin(channel, EPS_E1, budget, "optimal_time").rate
+            equal = tdma_maxmin(channel, EPS_E1, budget, "equal_time").rate
+            assert cmp == MaxMinComparison(noma.rate, opt, equal, noma.rate / opt)
 
 
 def test_dominance_on_random_instances():
