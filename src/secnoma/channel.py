@@ -149,8 +149,8 @@ _PHILOX_ROUNDS = 10
 
 
 def _require_integer(name, value):
-    """Reject a float or a bool where a count belongs: either would run
-    truncated. numpy integers pass."""
+    """Reject a float or a bool where a count or a seed belongs: either
+    would run truncated. numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
 

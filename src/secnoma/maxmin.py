@@ -108,7 +108,8 @@ def _maxmin(gains, phi, power_budget_mw, tol):
     iterations) of `solve_maxmin_bisection` and `tdma_maxmin`, rate 0.0 if
     the bisection accepted no floor. Raises where the bracket overflows."""
     full, rate_eq, hi = _tdma_slots(gains, phi, power_budget_mw)
-    # the optimal-time TDMA rate is a feasible floor
+    # the seed starts from the optimal-time TDMA rate, a feasible floor
+    # unless a stronger user's slot rate overflowed to inf
     rate_opt, _ = _optimal_time(full)
     rate, iterations = _bisect(gains, phi, power_budget_mw, tol, rate_opt, hi)
     return rate, rate_opt, rate_eq, iterations

@@ -1,4 +1,5 @@
-"""Frozen SHA-256 digests of the seven standard study CSVs.
+"""Frozen SHA-256 digests of the seven standard study CSVs and of the
+single-instance designs' outputs.
 
 Each study is a file in `scripts/specs/`, run at its full trial count and
 seed through `scripts/run_fig_sweeps.py`, so any drift in a solver, the
