@@ -203,15 +203,28 @@ def _run_beta_vs_eps(spec):
     return rows
 
 
+def _mean_stderr(rates):
+    """Each row's mean and standard error of the mean over the columns of a
+    2-D array, as lists: bit for bit `rates.mean(axis=1)` and
+    `rates.std(axis=1, ddof=1) / sqrt(N)` (0.0 for one column), by the same
+    ufunc steps numpy's mean and var take, without their Python-level
+    dispatch."""
+    trials = rates.shape[1]
+    means = np.add.reduce(rates, axis=1) / trials
+    if trials == 1:
+        return means.tolist(), [0.0] * len(means)
+    dev = rates - means[:, None]
+    dev *= dev
+    stderrs = np.sqrt(np.add.reduce(dev, axis=1) / (trials - 1)) / math.sqrt(trials)
+    return means.tolist(), stderrs.tolist()
+
+
 def _avg_rate_rows(rows, x, spec, rates, feasible):
     """Append the avg_min_rate row of each scheme at axis point x, from the
     (3, N) per-trial (noma, tdma_opt, tdma_eq) rates; returns the feasible
     fraction and the noma and tdma_opt (mean, stderr)."""
-    frac = float(feasible.mean())
-    trials = rates.shape[1]
-    means = rates.mean(axis=1).tolist()
-    stderrs = (rates.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * 3
-    stats = list(zip(means, stderrs))
+    frac = np.count_nonzero(feasible) / feasible.size
+    stats = list(zip(*_mean_stderr(rates)))
     for scheme, (mean, stderr) in zip(("noma", "tdma_opt", "tdma_eq"), stats):
         rows.append(AggregateResult(x, scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed))
     return frac, stats[0], stats[1]

@@ -9,7 +9,6 @@ bisection uses it only to place the window it replays around (`_seed`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -287,12 +286,16 @@ def _window(gains, phi, power_budget_mw, hi, floor):
     return -math.inf, math.inf
 
 
-# Element-wise libm calls: numpy's SIMD power and log2 can round differently
-# from Python's `**` and math.log2, and the row solvers must reproduce the
-# scalar solvers bit for bit. Reading through a memoryview makes one Python
-# float at a time instead of a list of them all.
+# The row solvers must reproduce the scalar solvers bit for bit, so 2**q and
+# log2 must round as Python's `**` and math.log2 do, through the C library.
+# `np.float_power`'s float64 loop calls libm `pow` itself; `np.power` and
+# `np.exp2` may be SIMD-dispatched (AVX-512 SVML) and then differ from libm in
+# the last bit on about 5% of inputs. No numpy loop calls libm `log2`: the SIMD
+# `np.log2` and a long-double log2 each differ on about 5e-5 to 4e-4 of inputs,
+# by their range, so log2 stays one libm call per element, read through a
+# memoryview so that only one Python float exists at a time.
 def _pow2_each(q):
-    return np.fromiter(map(math.pow, itertools.repeat(2.0), memoryview(q.ravel())), float, q.size)
+    return np.float_power(2.0, q)
 
 
 def _log2_each(x):

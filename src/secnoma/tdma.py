@@ -41,7 +41,13 @@ class TimeAllocation:
         for t in self.fractions:
             if not (t >= 0 and math.isfinite(t)):
                 raise ValueError("slot fractions must be nonnegative and finite")
-        if _sum(self.fractions) > 1.0 + 1e-12:
+        # an exact sum: K copies of 1/K added left to right exceed 1 + 1e-12 at
+        # K = 40,000; finite fractions whose sum overflows do not fit either
+        try:
+            fits = math.fsum(self.fractions) <= 1.0 + 1e-12
+        except OverflowError:
+            fits = False
+        if not fits:
             raise ValueError("slot fractions must fit in a unit frame")
 
 

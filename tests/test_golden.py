@@ -1,5 +1,5 @@
-"""Frozen SHA-256 digests of the seven standard study CSVs and of the
-single-instance designs' outputs.
+"""Frozen SHA-256 digests of the seven standard study CSVs, of the
+single-instance designs' outputs and of the fading sweeps' rows.
 
 Each study is a file in `scripts/specs/`, run at its full trial count and
 seed through `scripts/run_fig_sweeps.py`, so any drift in a solver, the
@@ -26,6 +26,8 @@ from secnoma import (
     tdma_maxmin,
     tdma_min_power,
 )
+from secnoma.cli import _read_config
+from secnoma.experiments import SweepSpec, run_sweep
 from secnoma.maxmin import DEFAULT_TOL
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_fig_sweeps.py"
@@ -91,6 +93,8 @@ def _frozen_text(value):
         return f"{type(value).__name__}({','.join(fields)})"
     if value is None or isinstance(value, int):
         return repr(value)
+    if isinstance(value, str):
+        return value
     raise TypeError(f"no frozen text for {value!r}")
 
 
@@ -147,3 +151,32 @@ def test_single_instance_designs_are_frozen():
             digest.update(line.encode() + b"\n")
     assert 0.3 < infeasible / 300 < 0.5
     assert digest.hexdigest() == SINGLE_INSTANCE_SHA256
+
+
+# The fading sweeps' rows, every field as float.hex text: the CSVs print 12
+# significant digits, so a last-bit change in a mean, a stderr or a rate
+# would not show in their digests. avg_rate_vs_eps at K = 2 and 4 and
+# gain_vs_K over K = 2..6, each at 500 trials on seeds 11 and 12, from the
+# standard studies' spec files. Recorded at commit e1d399d, before 2**q and
+# the axis-point statistics moved to numpy ufuncs.
+SWEEP_ROWS_SHA256 = "742cfbf006b679568498e35ffa87d0d6e24669bfcf6cc91e17a334b16209069d"
+
+
+def _sweep_specs():
+    specs = run_fig_sweeps.study_specs()
+    for seed in (11, 12):
+        for name, k in (("avg_rate_vs_eps", "2"), ("avg_rate_vs_eps", "4"), ("gain_vs_users", None)):
+            mapping = _read_config(specs[name])
+            del mapping["out"]
+            mapping.update(trials="500", seed=str(seed))
+            if k is not None:
+                mapping["k"] = k
+            yield SweepSpec.from_mapping(mapping)
+
+
+def test_fading_sweep_rows_are_frozen():
+    digest = hashlib.sha256()
+    for spec in _sweep_specs():
+        for row in run_sweep(spec):
+            digest.update(_frozen_text(row).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_ROWS_SHA256

@@ -20,6 +20,7 @@ from secnoma import (
     tdma_user_rate,
 )
 from secnoma.maxmin import _BRACKET_OVERFLOW, DEFAULT_TOL
+from secnoma.secrecy import _sum
 
 EPS_E1 = math.exp(-1.0)
 
@@ -272,6 +273,21 @@ def test_time_allocation_validation():
         TimeAllocation((-0.1, 0.5))
     with pytest.raises(ValueError):
         TimeAllocation(())
+    # a sum that overflows is still a frame overrun, not an OverflowError
+    with pytest.raises(ValueError, match="^slot fractions must fit in a unit frame$"):
+        TimeAllocation((1e308, 1e308))
+
+
+@pytest.mark.parametrize("num", [40_000, 40_255])
+def test_equal_slots_fit_the_frame_at_many_users(num):
+    # K copies of 1/K added left to right (Python's sum() compensates from
+    # 3.12) exceed 1 + 1e-12 at these K
+    assert _sum([1.0 / num] * num) > 1.0 + 1e-12
+    assert TimeAllocation((1.0 / num,) * num).fractions == (1.0 / num,) * num
+    channel = ChannelRealization(tuple(np.linspace(2.0, 5.0, num).tolist()), 0.5)
+    result = tdma_maxmin(channel, 0.3, 10.0, "equal_time")
+    assert result.time.fractions == (1.0 / num,) * num
+    assert result.rate > 0.0
 
 
 def test_user_rate_validation():

@@ -23,7 +23,7 @@ from secnoma import (
 )
 from secnoma import channel, experiments, maxmin
 from secnoma.channel import _gains_from_uniforms, _trial_uniforms
-from secnoma.experiments import _maxmin_rates_per_trial
+from secnoma.experiments import _maxmin_rates_per_trial, _mean_stderr
 from secnoma.maxmin import _log2_each, _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
@@ -102,13 +102,39 @@ def test_row_helpers_round_like_python_floats():
     # numpy's own power, log2 and pairwise sums can differ from these in the
     # last bit on some of these inputs
     rng = np.random.default_rng(5)
-    q = rng.uniform(0.0, 20.0, 20000)
+    # every exponent a bracket can hold: below 1024, since hi = log2 of a
+    # finite float; each whole number with its float neighbours; and tiny ones
+    whole = np.arange(1024.0)
+    q = np.concatenate([
+        rng.uniform(0.0, 20.0, 20000),
+        rng.uniform(0.0, 1024.0, 20000),
+        whole,
+        np.nextafter(whole[1:], 0.0),
+        np.nextafter(whole, 1024.0),
+        10.0 ** rng.uniform(-320.0, -3.0, 20000),
+    ])
     assert _pow2_each(q).tobytes() == np.array([2.0 ** x for x in q.tolist()]).tobytes()
     x = 10.0 ** rng.uniform(-3.0, 6.0, (10000, 2))
     expected = np.array([[math.log2(v) for v in row] for row in x.tolist()])
     assert _log2_each(x).tobytes() == expected.tobytes()
     a = 10.0 ** rng.uniform(-6.0, 3.0, (20000, 8))
     assert _sum(a.T).tobytes() == np.array([_sum(row) for row in a.tolist()]).tobytes()
+
+
+def test_mean_stderr_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    sizes = [*range(2, 70), *rng.integers(70, 5001, 120).tolist(), 5000]
+    for n in sizes:
+        rates = rng.uniform(0.0, 8.0, (3, n))
+        # and with most trials zero-filled as infeasible, as the sweeps fill them
+        zero_heavy = np.where(rng.random((3, n)) < 0.7, 0.0, rates)
+        for rates in (rates, zero_heavy):
+            means, stderrs = _mean_stderr(rates)
+            assert np.array(means).tobytes() == rates.mean(axis=1).tobytes()
+            expected = rates.std(axis=1, ddof=1) / math.sqrt(n)
+            assert np.array(stderrs).tobytes() == expected.tobytes()
+    means, stderrs = _mean_stderr(np.array([[1.5], [0.0], [2.25]]))
+    assert (means, stderrs) == ([1.5, 0.0, 2.25], [0.0, 0.0, 0.0])
 
 
 def test_float_sum_adds_left_to_right():
