@@ -1,0 +1,70 @@
+"""Immutable record classes.
+
+`record` gives a class whose annotations name its fields: construction by
+position or keyword, with the defaults as written, then `__post_init__`; a
+`Name(field=value, ...)` repr; `==` only between instances of the same class,
+by the field tuple, and the hash of that tuple; `__match_args__`; and an
+AttributeError on assigning or deleting an attribute. Pickling and `copy`
+go through the instance `__dict__`. The four methods come from one `exec`
+per class. The standard library's frozen-class decorator compiles six, one
+exec each, and imports `inspect`: about 20 ms of every CLI process.
+"""
+
+_MISSING = object()
+
+
+class factory:
+    """A field default made afresh for each instance by calling `make`."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _no_assign(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _no_delete(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    names = tuple(cls.__annotations__)
+    namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_factory": factory}
+    params, body = [], []
+    for name in names:
+        default = cls.__dict__.get(name, _MISSING)
+        value = name
+        if isinstance(default, factory):
+            # the class keeps no attribute that instances would share
+            delattr(cls, name)
+            namespace[f"_make_{name}"] = default.make
+            params.append(f"{name}=_factory")
+            value = f"_make_{name}() if {name} is _factory else {name}"
+        elif default is not _MISSING:
+            namespace[f"_default_{name}"] = default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"  _set(self, {name!r}, {value})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()\n")
+    own = "".join(f"self.{name}," for name in names)
+    other = "".join(f"other.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
+        f"def __repr__(self):\n  return f'{{self.__class__.__qualname__}}({shown})'\n"
+        "def __eq__(self, other):\n"
+        f"  if other.__class__ is self.__class__:\n    return ({own}) == ({other})\n"
+        "  return NotImplemented\n"
+        f"def __hash__(self):\n  return hash(({own}))\n",
+        namespace,
+    )
+    for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+        function = namespace[method]
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, function)
+    cls.__setattr__, cls.__delattr__ = _no_assign, _no_delete
+    cls.__match_args__ = names
+    return cls

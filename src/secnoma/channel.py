@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from ._lazy import lazy_module
+from ._record import record
 
 np = lazy_module("numpy")
 
@@ -42,7 +42,7 @@ def mw_to_dbm(x_mw):
 _LARGEST_DRAW = 53 * math.log(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class NetworkGeometry:
     """Static deployment: user/eavesdropper distances, path-loss exponent, noise floors.
 
@@ -104,7 +104,7 @@ def _geometry(fixed, num) -> NetworkGeometry:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ChannelRealization:
     """One fading draw: normalized user gains sorted ascending, plus the
     eavesdropper's mean normalized gain (only its average is known).

@@ -6,7 +6,6 @@ status: 0 feasible result, 2 infeasible instance, 1 bad usage or bad config.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # every handler needs the channel; each imports its own solver modules, so a
@@ -60,10 +59,17 @@ def _channel_from_args(args, parser) -> ChannelRealization:
     return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
 
 
+def _print_json(payload):
+    # only a --json call pays for importing json
+    import json
+
+    print(json.dumps(payload))
+
+
 def _print_verdict(verdict, as_json):
     failing = sorted(verdict.failing_user_indices)
     if as_json:
-        print(json.dumps({"feasible": False, "reason": verdict.reason.value, "failing_users": failing}))
+        _print_json({"feasible": False, "reason": verdict.reason.value, "failing_users": failing})
     else:
         print("feasible: no")
         print(f"reason: {verdict.reason.value}")
@@ -85,20 +91,18 @@ def _cmd_min_power(args, parser):
         for k in range(1, channel.num_users + 1)
     ]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "feasible": True,
-                    "gains": list(channel.user_gains),
-                    "eaves_avg_gain": channel.eaves_avg_gain,
-                    "powers_mw": list(solution.allocation.powers_mw),
-                    "total_power_mw": solution.total_power_mw,
-                    "total_power_dbm": mw_to_dbm(solution.total_power_mw),
-                    "codeword_rates": [rp.codeword_rate for rp in solution.rate_pairs],
-                    "confidential_rate": args.q,
-                    "outage": outages,
-                }
-            )
+        _print_json(
+            {
+                "feasible": True,
+                "gains": list(channel.user_gains),
+                "eaves_avg_gain": channel.eaves_avg_gain,
+                "powers_mw": list(solution.allocation.powers_mw),
+                "total_power_mw": solution.total_power_mw,
+                "total_power_dbm": mw_to_dbm(solution.total_power_mw),
+                "codeword_rates": [rp.codeword_rate for rp in solution.rate_pairs],
+                "confidential_rate": args.q,
+                "outage": outages,
+            }
         )
         return EXIT_OK
     print("feasible: yes")
@@ -127,18 +131,16 @@ def _cmd_max_min_rate(args, parser):
     if isinstance(solution, InfeasibleVerdict):
         return _print_verdict(solution, args.json)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "feasible": True,
-                    "gains": list(channel.user_gains),
-                    "max_min_rate": solution.rate,
-                    "powers_mw": list(solution.allocation.powers_mw),
-                    "total_power_mw": solution.allocation.total_mw,
-                    "power_budget_mw": p_mw,
-                    "iterations": solution.iterations_used,
-                }
-            )
+        _print_json(
+            {
+                "feasible": True,
+                "gains": list(channel.user_gains),
+                "max_min_rate": solution.rate,
+                "powers_mw": list(solution.allocation.powers_mw),
+                "total_power_mw": solution.allocation.total_mw,
+                "power_budget_mw": p_mw,
+                "iterations": solution.iterations_used,
+            }
         )
         return EXIT_OK
     print("feasible: yes")
@@ -166,7 +168,7 @@ def _cmd_compare_oma(args, parser):
         "ratio": result.ratio,
     }
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key in ("rate_noma", "rate_tdma_optimal", "rate_tdma_equal", "ratio"):
             print(f"{key}: {payload[key]:.10g}")

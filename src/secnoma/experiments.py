@@ -7,14 +7,13 @@ produces byte-identical files.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import os
 import stat
-from dataclasses import dataclass, field
 
 from ._lazy import lazy_module
+from ._record import factory, record
 from .channel import (
     _GEOMETRY_KEYS,
     ChannelRealization,
@@ -43,8 +42,10 @@ _INT_KEYS = {"k"}
 _CHANNEL_KEYS = {"k", "gain_base_db", "gain_slope_db", "gamma_e_db"}
 
 
-@dataclass(frozen=True)
+@record
 class SweepAxis:
+    """The varied parameter: `steps` evenly spaced points from `start` to `stop`."""
+
     name: str
     start: float
     stop: float
@@ -75,11 +76,13 @@ class SweepAxis:
         return points
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
+    """A sweep: its kind, the axis it varies, fixed keys, fading trials per point and seed."""
+
     kind: str
     axis: SweepAxis
-    fixed: dict[str, float] = field(default_factory=dict)
+    fixed: dict[str, float] = factory(dict)
     trials: int = 1
     seed: int = 0
 
@@ -127,8 +130,11 @@ class SweepSpec:
         return cls(kind, axis, fixed, trials, seed)
 
 
-@dataclass(frozen=True)
+@record
 class AggregateResult:
+    """One CSV row: a scheme's metric at axis point x, averaged over the trials, with its
+    standard error and the fraction of trials that were feasible."""
+
     x: float
     scheme: str
     metric: str
@@ -394,6 +400,9 @@ def write_results(rows: list[AggregateResult], path) -> None:
 
 def read_results(path) -> list[AggregateResult]:
     """Parse a results CSV back into aggregate rows."""
+    # imported here only: a sweep just writes, and write_results formats its rows
+    import csv
+
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

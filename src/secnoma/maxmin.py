@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from ._lazy import lazy_module
+from ._record import record
 from .channel import ChannelRealization
 from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
 from .secrecy import PowerAllocation, _stringency, _sum
@@ -27,7 +27,7 @@ _BRACKET_STALLED = "tolerance finer than the float spacing of the rate: the brac
 _TOO_COARSE = "tolerance too coarse to certify a positive rate at this budget"
 
 
-@dataclass(frozen=True)
+@record
 class MaxMinSolution:
     """Certified common confidential rate, the allocation achieving it, and
     how many bisection steps produced it (0 for closed forms)."""

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .channel import ChannelRealization
 from .secrecy import PowerAllocation, RatePair, SecrecyRequirement, _outage_terms, _sum
 
@@ -26,7 +26,7 @@ class InfeasibleReason(enum.Enum):
     TDMA_QOS = "tdma_qos"
 
 
-@dataclass(frozen=True)
+@record
 class InfeasibleVerdict:
     """No finite power satisfies the constraints; names the users that fail."""
 
@@ -38,8 +38,10 @@ class InfeasibleVerdict:
             raise ValueError("an infeasibility verdict must name at least one user")
 
 
-@dataclass(frozen=True)
+@record
 class PowerMinSolution:
+    """Cheapest allocation meeting every QoS floor, its wiretap rate pairs and total mW."""
+
     allocation: PowerAllocation
     rate_pairs: tuple[RatePair, ...]
     total_power_mw: float
@@ -165,7 +167,7 @@ def _solution(gains, powers, q):
     return PowerMinSolution(alloc, tuple(pairs), alloc.total_mw)
 
 
-@dataclass(frozen=True)
+@record
 class UserSelection:
     """Greedy admissible subset (original 1-based indices, ascending gain) and
     the minimum-power solution on that subset; empty means suspend."""

@@ -10,8 +10,8 @@ wiretap rate pair (codeword rate, confidential rate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .channel import ChannelRealization
 
 
@@ -25,7 +25,7 @@ def _sum(terms):
     return total
 
 
-@dataclass(frozen=True)
+@record
 class PowerAllocation:
     """Per-message transmit powers, linear mW, indexed by decoding position."""
 
@@ -47,7 +47,7 @@ class PowerAllocation:
         return float(_sum(self.powers_mw))
 
 
-@dataclass(frozen=True)
+@record
 class RatePair:
     """Wiretap code pair: transmitted codeword rate and confidential rate, bits/use."""
 
@@ -67,7 +67,7 @@ def _stringency(eaves_avg_gain, eps):
     return eaves_avg_gain * math.log(1.0 / eps)
 
 
-@dataclass(frozen=True)
+@record
 class SecrecyRequirement:
     """QoS floor on the confidential rate plus the tolerated secrecy outage."""
 

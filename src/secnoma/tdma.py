@@ -6,9 +6,9 @@ per-slot rates carry the same stringency penalty and scale by the fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import lazy_module
+from ._record import record
 from .channel import ChannelRealization
 from .maxmin import (
     _TOO_COARSE,
@@ -29,7 +29,7 @@ np = lazy_module("numpy")
 _INFEASIBLE = "instance infeasible: no positive common rate exists"
 
 
-@dataclass(frozen=True)
+@record
 class TimeAllocation:
     """Slot fractions, one per user; they may not exceed a unit frame."""
 
@@ -51,13 +51,15 @@ class TimeAllocation:
             raise ValueError("slot fractions must fit in a unit frame")
 
 
-@dataclass(frozen=True)
+@record
 class TdmaMaxMin:
+    """Best common confidential rate under TDMA and the slot fractions achieving it."""
+
     rate: float
     time: TimeAllocation
 
 
-@dataclass(frozen=True)
+@record
 class TdmaMinPower:
     """Per-slot powers plus the two honest summaries of 'how much power':
     averaged over the frame and the worst single slot."""
@@ -128,8 +130,11 @@ def tdma_min_power(
     return TdmaMinPower(per_user, _sum(per_user) / num, max(per_user))
 
 
-@dataclass(frozen=True)
+@record
 class MaxMinComparison:
+    """Max-min rates of superposition and of optimal-time and equal-time TDMA, and the
+    ratio of superposition to optimal-time TDMA."""
+
     rate_noma: float
     rate_tdma_optimal: float
     rate_tdma_equal: float
@@ -173,7 +178,7 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
     return MaxMinComparison(rate, rate_opt, rate_eq, rate / rate_opt)
 
 
-@dataclass(frozen=True)
+@record
 class RateRegionBoundary:
     """Sampled two-user boundaries: rows are (R1, R2) with R2 swept upward."""
 

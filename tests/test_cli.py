@@ -513,9 +513,11 @@ def test_min_power_matches_oracle_after_db_round_trip():
 
 
 
-# Each case runs in a fresh interpreter, which then reports its exit status
-# and the numpy submodules it loaded. The package's lazy `numpy` placeholder
-# is not an import of numpy; numpy's own `__init__` loads `numpy._core`.
+# Each case runs in a fresh interpreter, which then reports its exit status,
+# the numpy submodules it loaded and which of `dataclasses`, `inspect` and
+# `json` it loaded, before the report's own json import. The package's lazy
+# `numpy` placeholder is not an import of numpy; numpy's own `__init__` loads
+# `numpy._core`.
 _RUN_CLI = """\
 import runpy
 try:
@@ -524,9 +526,11 @@ except SystemExit as exc:
     status = exc.code
 """
 _REPORT = """\
-import json, sys
+import sys
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
-print(json.dumps([globals().get("status", 0), loaded]))
+stdlib = [name for name in ("dataclasses", "inspect", "json") if name in sys.modules]
+import json
+print(json.dumps([globals().get("status", 0), loaded, stdlib]))
 """
 _SPECS_DIR = _ROOT / "scripts" / "specs"
 _FIXED_SPECS = [
@@ -539,44 +543,51 @@ _SCALAR_CASES = {
     "min-power": (_RUN_CLI, "min-power", "--gains-db", GAINS_DB, "--eaves-db", "0", "--q", "1", "--eps", EPS),
     "max-min-rate": (_RUN_CLI, "max-min-rate", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "20", "--eps", EPS),
     "compare-oma": (_RUN_CLI, "compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "0", "--eps", EPS),
+    "compare-oma-json": (
+        _RUN_CLI, "compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "0", "--eps", EPS, "--json"
+    ),
     **{f"sweep-{path.stem}": (_RUN_CLI, "sweep", "--config", str(path)) for path in _FIXED_SPECS},
 }
 
 
-def numpy_modules_after(workdir, code, *args):
-    """numpy's submodules loaded once `code` has run with `args` as argv, in a
-    fresh interpreter in workdir (a sweep writes its CSV there); the run must
-    succeed."""
+def modules_after(workdir, code, *args):
+    """numpy's submodules, and which of `dataclasses`, `inspect` and `json`,
+    loaded once `code` has run with `args` as argv, in a fresh interpreter in
+    workdir (a sweep writes its CSV there); the run must succeed."""
     proc = subprocess.run(
         [sys.executable, "-c", code + _REPORT, *args], cwd=workdir, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    status, loaded, stdlib = json.loads(proc.stdout.splitlines()[-1])
     assert status == EXIT_OK, proc.stderr
-    return loaded
+    return loaded, stdlib
 
 
 @pytest.mark.parametrize("case", _SCALAR_CASES)
 def test_scalar_calls_never_import_numpy(case, tmp_path):
-    assert numpy_modules_after(tmp_path, *_SCALAR_CASES[case]) == []
+    loaded, stdlib = modules_after(tmp_path, *_SCALAR_CASES[case])
+    assert loaded == []
+    # importing `dataclasses`, and `inspect` with it, costs a process about
+    # 20 ms; json is loaded only to print a --json payload
+    assert stdlib == (["json"] if "--json" in _SCALAR_CASES[case] else [])
 
 
 def test_array_calls_import_numpy(tmp_path):
     # the positive control: the same probe sees numpy where array code runs
     geometry = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
                 "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
-    loaded = numpy_modules_after(tmp_path, _RUN_CLI, *geometry)
+    loaded, _ = modules_after(tmp_path, _RUN_CLI, *geometry)
     assert "numpy._core" in loaded
     assert "numpy.random" not in loaded  # one draw through the array kernel
     fading = ("sweep", "--config", str(_SPECS_DIR / "avg_rate_vs_eps.spec"))
-    assert "numpy._core" in numpy_modules_after(tmp_path, _RUN_CLI, *fading)
+    assert "numpy._core" in modules_after(tmp_path, _RUN_CLI, *fading)[0]
     assert (tmp_path / "avg_rate_vs_eps.csv").exists()
     assert len(_FIXED_SPECS) == 4
 
 
 # each call imports its handler's solver modules and nothing else; the
 # channel (and its lazy numpy) comes with the CLI itself
-_CLI_MODULES = ["secnoma", "secnoma._lazy", "secnoma.channel", "secnoma.cli"]
+_CLI_MODULES = ["secnoma", "secnoma._lazy", "secnoma._record", "secnoma.channel", "secnoma.cli"]
 _SOLVER_MODULES = {
     "help": [],
     "min-power": ["power_min", "secrecy"],
@@ -643,4 +654,4 @@ def test_importtime_report_lists_the_deferred_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert names.count("numpy") == 1
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [], []]

@@ -5,7 +5,6 @@ Each study is a file in `scripts/specs/`, run at its full trial count and
 seed through `scripts/run_fig_sweeps.py`, so any drift in a solver, the
 sampler, the config reader or the CSV writer shows up as a changed digest.
 """
-import dataclasses
 import enum
 import hashlib
 import importlib.util
@@ -88,8 +87,8 @@ def _frozen_text(value):
         return "(" + ",".join(map(_frozen_text, value)) + ")"
     if isinstance(value, frozenset):
         return "{" + ",".join(map(_frozen_text, sorted(value))) + "}"
-    if dataclasses.is_dataclass(value):
-        fields = (f"{f.name}={_frozen_text(getattr(value, f.name))}" for f in dataclasses.fields(value))
+    if hasattr(type(value), "__match_args__"):
+        fields = (f"{name}={_frozen_text(getattr(value, name))}" for name in type(value).__match_args__)
         return f"{type(value).__name__}({','.join(fields)})"
     if value is None or isinstance(value, int):
         return repr(value)

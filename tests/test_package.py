@@ -1,7 +1,10 @@
 """The package namespace: every public name resolves on first use, and the
-names `__all__`, `dir()` and `import *` show are frozen."""
+names `__all__`, `dir()` and `import *` show are frozen. The result types are
+immutable records that behave as they always have."""
+import copy
 import importlib
 import json
+import pickle
 import subprocess
 import sys
 
@@ -48,7 +51,8 @@ def test_public_names_are_frozen():
     assert len(PUBLIC) == 54
     assert names == PUBLIC
     assert before == [["secnoma"], PUBLIC]  # a bare import loads nothing
-    assert after == [sorted(["secnoma", "secnoma._lazy"] + [f"secnoma.{m}" for m in SUBMODULES]), PUBLIC]
+    private = ["secnoma", "secnoma._lazy", "secnoma._record"]
+    assert after == [sorted(private + [f"secnoma.{m}" for m in SUBMODULES]), PUBLIC]
     assert starred == PUBLIC
 
 
@@ -67,3 +71,92 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         secnoma.no_such_name  # noqa: B018
     assert not hasattr(secnoma, "__wrapped__")
+
+
+# repr texts the result types have always printed
+_REPRS = {
+    "SweepSpec(kind='avg_rate_vs_eps', axis=SweepAxis(name='eps', start=0.05, stop=0.45, steps=9), "
+    "fixed={}, trials=1, seed=0)": lambda: secnoma.SweepSpec("avg_rate_vs_eps", secnoma.SweepAxis("eps", 0.05, 0.45, 9)),
+    "SweepSpec(kind='rate_vs_P', axis=SweepAxis(name='p_dbm', start=0, stop=30, steps=4), "
+    "fixed={'eps': 0.3, 'k': 2}, trials=3, seed=7)": lambda: secnoma.SweepSpec(
+        seed=7, trials=3, fixed={"eps": 0.3, "k": 2}, axis=secnoma.SweepAxis("p_dbm", 0, 30, 4), kind="rate_vs_P"
+    ),
+    "AggregateResult(x=0.1, scheme='noma', metric='avg_min_rate', value=1.25, stderr=0.01, "
+    "feasible_frac=0.5, trials=500, seed=11)": lambda: secnoma.AggregateResult(
+        0.1, "noma", "avg_min_rate", 1.25, 0.01, 0.5, 500, 11
+    ),
+    "InfeasibleVerdict(failing_user_indices=frozenset({1, 2}), "
+    "reason=<InfeasibleReason.POSITIVE_RATE: 'positive_rate'>)": lambda: secnoma.InfeasibleVerdict(
+        frozenset({1, 2}), secnoma.InfeasibleReason.POSITIVE_RATE
+    ),
+    "UserSelection(selected_users=(2,), solution=PowerMinSolution(allocation=PowerAllocation("
+    "powers_mw=(1.0,)), rate_pairs=(RatePair(codeword_rate=1.5, confidential_rate=1.0),), "
+    "total_power_mw=1.0))": lambda: secnoma.UserSelection(
+        (2,), secnoma.PowerMinSolution(secnoma.PowerAllocation((1.0,)), (secnoma.RatePair(1.5, 1.0),), 1.0)
+    ),
+    "TdmaMaxMin(rate=0.3, time=TimeAllocation(fractions=(0.5, 0.5)))": lambda: secnoma.TdmaMaxMin(
+        0.3, secnoma.TimeAllocation((0.5, 0.5))
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _REPRS)
+def test_result_types_are_immutable_records(text):
+    value, twin = _REPRS[text](), _REPRS[text]()
+    names = type(value).__match_args__
+    fields = tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    assert value == twin and not value != twin and value is not twin
+    assert value != fields  # only the same class compares equal
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(clone) is type(value) and clone == value and repr(clone) == text
+    if isinstance(value, secnoma.SweepSpec):
+        # its `fixed` dict makes a spec unhashable
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin) == hash(fields)
+    for name in (names[0], "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+def test_records_match_by_position():
+    result = secnoma.TdmaMaxMin(0.3, secnoma.TimeAllocation((0.5, 0.5)))
+    match result:
+        case secnoma.TdmaMaxMin(rate, secnoma.TimeAllocation(fractions)):
+            assert (rate, fractions) == (0.3, (0.5, 0.5))
+        case _:
+            pytest.fail(f"{result!r} did not match by position")
+    assert secnoma.SweepSpec.__match_args__ == ("kind", "axis", "fixed", "trials", "seed")
+
+
+def test_records_construct_as_written():
+    axis = secnoma.SweepAxis("eps", 0.05, 0.45, 9)
+    spec = secnoma.SweepSpec("avg_rate_vs_eps", axis)
+    keyword = secnoma.SweepSpec(kind="avg_rate_vs_eps", axis=axis, fixed={}, trials=1, seed=0)
+    assert spec == keyword and (spec.trials, spec.seed) == (1, 0)
+    # each spec without `fixed` gets a dict of its own; the class holds none
+    assert spec.fixed == {} and spec.fixed is not keyword.fixed
+    assert spec.fixed is not secnoma.SweepSpec("avg_rate_vs_eps", axis).fixed
+    assert not hasattr(secnoma.SweepSpec, "fixed") and secnoma.SweepSpec.trials == 1
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'axis'"):
+        secnoma.SweepSpec("avg_rate_vs_eps")
+    with pytest.raises(TypeError, match="got multiple values for argument 'codeword_rate'"):
+        secnoma.RatePair(1.0, codeword_rate=2.0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'rate'"):
+        secnoma.RatePair(codeword_rate=1.0, rate=1.0)
+    # __post_init__ runs on every construction
+    with pytest.raises(ValueError, match="need 0 <= confidential rate <= codeword rate"):
+        secnoma.RatePair(confidential_rate=2.0, codeword_rate=1.0)
+    # equality needs the same class, not equal fields
+    assert secnoma.PowerAllocation((1.0,)) != secnoma.TimeAllocation((1.0,))
+    assert secnoma.RatePair(1, 1) == secnoma.RatePair(1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", [n for n in PUBLIC if n[0].isupper() and n != "InfeasibleReason"])
+def test_each_result_type_has_a_docstring(name):
+    assert getattr(secnoma, name).__doc__.strip()
