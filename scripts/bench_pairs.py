@@ -2,19 +2,21 @@
 """Run the benchmark in pairs on two checkouts and record every result.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload eps_sweep \
-        [--seed 11] [--pairs 10] --out BENCH.json
+        [--seed 11] [--pairs 10] [--rounds 10] --out BENCH.json
 
 Each pair runs `perfbench/run.py` once in each checkout, the parent first in
 even pairs and the change first in odd ones. In cli_calls pairs, the
-workload about start-up cost, each run is followed by the same side's CLI
-cold start: the median wall time of five fresh `python -m secnoma --help`
-processes on that checkout's sources (`help_wall_s`; it does not depend on
-the workload, so the other workloads do not repeat it). Every run's record
-line, result line and cold start are appended to the JSON file at --out
-(created if missing), and the summary of each (workload, seed) is rebuilt
-from all its pairs: per end-to-end metric and for the cold start, the median
-and quartiles of each side and the number of pairs the change won (ties
-count for neither).
+workload about start-up cost, each pair is followed by the CLI cold starts
+of both checkouts (`cold_start_ms`): --rounds rounds over every call of
+`perfbench.clicalls.make_calls(seed)`, each call run as a fresh
+`python -m secnoma` process on one checkout's sources and then on the
+other's, in a temporary directory, with the side that goes first
+alternating from round to round; each call's median wall time per side is
+recorded. Every run's record line and result line, and the cold starts,
+are appended to the JSON file at --out (created if missing), and the
+summary of each (workload, seed) is rebuilt from all its pairs: per
+end-to-end metric and per cold-start call, the median and quartiles of
+each side and the number of pairs the change won (ties count for neither).
 """
 from __future__ import annotations
 
@@ -24,12 +26,18 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COLD_STARTS = 5
 COLD_START_WORKLOAD = "cli_calls"
+# each call of the cli_calls workload as (key, argv), printed by a checkout
+_LIST_CALLS = (
+    "import json, sys\n"
+    "from perfbench.clicalls import make_calls\n"
+    "print(json.dumps([[c.key, list(c.argv)] for c in make_calls(int(sys.argv[1]))]))\n"
+)
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -42,18 +50,38 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {"record": json.loads(record.removeprefix("run record: ")), "result": json.loads(lines[-1])}
 
 
-def help_wall_s(checkout: Path) -> float:
-    """Median wall time of fresh `python -m secnoma --help` processes that
-    import the package from the checkout's `src`."""
+def _env(checkout: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
-    times = []
-    for _ in range(COLD_STARTS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "secnoma", "--help"], cwd=checkout, env=env,
-                       capture_output=True, check=True)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return env
+
+
+def cold_start_ms(checkouts: dict[str, Path], seed: int, rounds: int) -> dict[str, dict[str, float]]:
+    """Per side, each cli_calls call's median wall time in ms over `rounds`
+    alternating rounds of fresh processes. Both sides must give a call the
+    same exit status and output."""
+    calls = {}
+    for side, checkout in checkouts.items():
+        proc = subprocess.run([sys.executable, "-c", _LIST_CALLS, str(seed)], cwd=checkout,
+                              env=_env(checkout), capture_output=True, text=True, check=True)
+        calls[side] = json.loads(proc.stdout)
+    sides = list(checkouts)
+    times = {side: {key: [] for key, _ in calls[side]} for side in sides}
+    with tempfile.TemporaryDirectory() as workdir:
+        for r in range(rounds):
+            order = sides if r % 2 == 0 else sides[::-1]
+            for i in range(len(calls[sides[0]])):
+                outputs = set()
+                for side in order:
+                    key, argv = calls[side][i]
+                    t0 = time.perf_counter()
+                    proc = subprocess.run([sys.executable, "-m", "secnoma", *argv], cwd=workdir,
+                                          env=_env(checkouts[side]), capture_output=True, text=True)
+                    times[side][key].append((time.perf_counter() - t0) * 1e3)
+                    outputs.add((key, proc.returncode, proc.stdout))
+                if len(outputs) != 1:
+                    raise RuntimeError(f"the checkouts disagree on a cold-start call: {sorted(outputs)}")
+    return {side: {key: statistics.median(values) for key, values in times[side].items()} for side in sides}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -78,10 +106,12 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         summary[name] = compare(parent, change, direction)
-    if "help_wall_s" in pairs[0]["parent"]:
-        summary["help_wall_s"] = compare(
-            [p["parent"]["help_wall_s"] for p in pairs], [p["change"]["help_wall_s"] for p in pairs], "lower"
-        )
+    if "cold_start_ms" in pairs[0]:
+        starts = [p["cold_start_ms"] for p in pairs]
+        summary["cold_start_ms"] = {
+            key: compare([s["parent"][key] for s in starts], [s["change"][key] for s in starts], "lower")
+            for key in starts[0]["parent"]
+        }
     summary["failed"] = {
         side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
     }
@@ -95,6 +125,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--rounds", type=int, default=10, help="cold-start rounds after each cli_calls pair")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to extend")
     args = ap.parse_args(argv)
 
@@ -108,14 +139,14 @@ def main(argv=None) -> int:
         pair = {"first": order[0]}
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload, args.seed)
-            if args.workload == COLD_START_WORKLOAD:
-                pair[side]["help_wall_s"] = help_wall_s(getattr(args, side))
+        if args.workload == COLD_START_WORKLOAD:
+            pair["cold_start_ms"] = cold_start_ms({side: getattr(args, side) for side in order}, args.seed, args.rounds)
         pairs.append(pair)
         data["summary"][key] = summarise(pairs, better)
         args.out.write_text(json.dumps(data, indent=1) + "\n")
         print(f"{key} pair {len(pairs)}: " + " ".join(
             f"{s}={pair[s]['result']['metrics']['norm_ops_per_s']['value']:.6g}"
-            + (f" (--help {pair[s]['help_wall_s'] * 1e3:.0f} ms)" if "help_wall_s" in pair[s] else "")
+            + (f" (cold starts {sum(pair['cold_start_ms'][s].values()):.0f} ms)" if "cold_start_ms" in pair else "")
             for s in order
         ), flush=True)
     return 0

@@ -12,26 +12,13 @@ import numbers
 import os
 import stat
 
-from ._lazy import lazy_module
 from ._record import factory, record
-from .channel import (
-    _GEOMETRY_KEYS,
-    ChannelRealization,
-    _gains_from_uniforms,
-    _geometry,
-    _require_integer,
-    _trial_uniforms,
-    db_to_linear,
-    dbm_to_mw,
-    sample_trial_gains,
-    trial_seeds,
-)
-from .maxmin import DEFAULT_TOL, MaxMinSolution, _maxmin_rows, optimal_power_ratio_user1, solve_maxmin_bisection
+from .channel import _GEOMETRY_KEYS, ChannelRealization, _geometry, _require_integer, db_to_linear, dbm_to_mw
+from .channel import sample_trial_gains, trial_seeds
+from .maxmin import DEFAULT_TOL, MaxMinSolution, optimal_power_ratio_user1, solve_maxmin_bisection
 from .power_min import PowerMinSolution, solve_min_power
 from .secrecy import SecrecyRequirement, _stringency
 from .tdma import TdmaMinPower, tdma_maxmin, tdma_min_power
-
-np = lazy_module("numpy")
 
 CSV_HEADER = ("x", "scheme", "metric", "value", "stderr", "feasible_frac", "trials", "seed")
 
@@ -209,83 +196,9 @@ def _run_beta_vs_eps(spec):
     return rows
 
 
-def _mean_stderr(rates):
-    """Each row's mean and standard error of the mean over the columns of a
-    2-D array, as lists: bit for bit `rates.mean(axis=1)` and
-    `rates.std(axis=1, ddof=1) / sqrt(N)` (0.0 for one column), by the same
-    ufunc steps numpy's mean and var take, without their Python-level
-    dispatch."""
-    trials = rates.shape[1]
-    means = np.add.reduce(rates, axis=1) / trials
-    if trials == 1:
-        return means.tolist(), [0.0] * len(means)
-    dev = rates - means[:, None]
-    dev *= dev
-    stderrs = np.sqrt(np.add.reduce(dev, axis=1) / (trials - 1)) / math.sqrt(trials)
-    return means.tolist(), stderrs.tolist()
-
-
-def _avg_rate_rows(rows, x, spec, rates, feasible):
-    """Append the avg_min_rate row of each scheme at axis point x, from the
-    (3, N) per-trial (noma, tdma_opt, tdma_eq) rates; returns the feasible
-    fraction and the noma and tdma_opt (mean, stderr)."""
-    frac = np.count_nonzero(feasible) / feasible.size
-    stats = list(zip(*_mean_stderr(rates)))
-    for scheme, (mean, stderr) in zip(("noma", "tdma_opt", "tdma_eq"), stats):
-        rows.append(AggregateResult(x, scheme, "avg_min_rate", mean, stderr, frac, spec.trials, spec.seed))
-    return frac, stats[0], stats[1]
-
-
-# Feasible rows per lockstep solve: enough to spread numpy's fixed cost per
-# call over many rows, few enough to keep the solver's arrays small.
-_BATCH_ROWS = 4096
-
-
-def _maxmin_rates_per_trial(points, p, tol):
-    """Yield, for each axis point taken in order as (sorted (N, K) gain
-    matrix, phi), its zero-filled (3, N) per-trial rates for the three
-    schemes and its feasibility flags.
-
-    Consecutive points share one solve of at most _BATCH_ROWS feasible
-    rows; a point with more is solved alone. Points are read and yielded one
-    batch at a time, so only one batch is held in memory.
-    """
-    batch, size = [], 0
-    for gains, phi in points:
-        # infeasible realizations contribute zero rate
-        feasible = gains[:, 0] > phi
-        count = int(np.count_nonzero(feasible))
-        if batch and size + count > _BATCH_ROWS:
-            yield from _solve_batch(batch, p, tol)
-            batch, size = [], 0
-        batch.append((gains[feasible], phi, feasible))
-        size += count
-    if batch:
-        yield from _solve_batch(batch, p, tol)
-
-
-def _solve_batch(batch, p, tol):
-    """Solve the feasible rows of a batch of (rows, phi, feasible) points in
-    one call of `_maxmin_rows` and yield each point's rates and flags. Rows
-    with fewer users than the widest point that has rows sit in the last
-    columns, +inf to their left."""
-    counts = [len(rows) for rows, _, _ in batch]
-    width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
-    stacked = np.full((sum(counts), width), np.inf)
-    phi = np.repeat([phi for _, phi, _ in batch], counts)
-    start = 0
-    for rows, _, _ in batch:
-        if len(rows):
-            stacked[start : start + len(rows), width - rows.shape[1] :] = rows
-            start += len(rows)
-    solved = _maxmin_rows(stacked, phi, p, tol)
-    for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
-        rates = np.zeros((3, len(feasible)))
-        rates[:, feasible] = block
-        yield rates, feasible
-
-
 def _run_avg_rate_vs_eps(spec):
+    from ._rows import _avg_rate_rows, _maxmin_rates_per_trial
+
     num = int(spec.fixed.get("k", 2))
     geometry = _geometry(spec.fixed, num)
     p = dbm_to_mw(spec.fixed["p_dbm"])
@@ -302,6 +215,9 @@ def _run_avg_rate_vs_eps(spec):
 
 
 def _run_gain_vs_k(spec):
+    from ._draw import _gains_from_uniforms, _trial_uniforms
+    from ._rows import _avg_rate_rows, _maxmin_rates_per_trial
+
     eps = spec.fixed["eps"]
     p = dbm_to_mw(spec.fixed["p_dbm"])
     tol = spec.fixed.get("tol", DEFAULT_TOL)

@@ -8,7 +8,6 @@ bisection uses it only to place the window it replays around (`_seed`).
 """
 from __future__ import annotations
 
-import functools
 import math
 
 from ._lazy import lazy_module
@@ -184,26 +183,6 @@ def _optimal_time(slots):
     return 1.0 / total, (w / total for w in weights)
 
 
-# Reductions along the short axis of an (M, K) array cost numpy far more
-# than one element-wise call per column; min is exact in any order, and a
-# count of at most K is exact in floats.
-def _min(cols):
-    return functools.reduce(np.minimum, cols)
-
-
-def _tdma_maxmin_rows(gains, phi, p):
-    """The optimal-time and equal-time TDMA rates of `_tdma_slots` and
-    `_optimal_time` on every row of an (M, K) gain matrix, with one
-    stringency per row in phi, bit for bit. A slot whose gain, or gain times
-    the budget, is +inf takes zero weight; +inf gains are padding, not users."""
-    with np.errstate(over="ignore", divide="ignore"):
-        full = _log2_each((1.0 + p * gains) / (1.0 + p * phi[:, None]))
-        full = np.where(full > 0.0, full, 0.0)
-        weakest = _min(full.T)
-        rate_opt = np.where(weakest > 0.0, 1.0 / _sum((1.0 / full).T), 0.0)
-    return rate_opt, weakest / _sum(np.isfinite(gains).T)
-
-
 # The bisection's result depends only on where its float feasibility test
 # switches from accept to reject. An estimate r of that switch, checked by two
 # exact tests at r -/+ _WINDOW, lets every midpoint outside that window be
@@ -286,214 +265,13 @@ def _window(gains, phi, power_budget_mw, hi, floor):
     return -math.inf, math.inf
 
 
-# The row solvers must reproduce the scalar solvers bit for bit, so 2**q and
-# log2 must round as Python's `**` and math.log2 do, through the C library.
-# `np.float_power`'s float64 loop calls libm `pow` itself; `np.power` and
-# `np.exp2` may be SIMD-dispatched (AVX-512 SVML) and then differ from libm in
-# the last bit on about 5% of inputs. No numpy loop calls libm `log2`: the SIMD
-# `np.log2` and a long-double log2 each differ on about 5e-5 to 4e-4 of inputs,
-# by their range, so log2 stays one libm call per element, read through a
-# memoryview so that only one Python float exists at a time.
+# The row solvers (`_rows`) must reproduce the scalar solvers bit for bit,
+# so 2**q and log2 must round as Python's `**` and math.log2 do, through the
+# C library. `np.float_power`'s float64 loop calls libm `pow` itself;
+# `np.power` and `np.exp2` may be SIMD-dispatched (AVX-512 SVML) and then
+# differ from libm in the last bit on about 5% of inputs.
 def _pow2_each(q):
     return np.float_power(2.0, q)
-
-
-def _log2_each(x):
-    return np.fromiter(map(math.log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
-
-
-def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
-    """`_seed` on every row, with numpy's log2: the seed only places the
-    window, so it need not round like the exact test. A row of two users
-    takes the closed form on its last two columns; `_newton_rows` runs on
-    the other rows, gathered once."""
-    padded = np.zeros(len(gains))  # an array even when pad has no columns
-    for col in pad.T:
-        padded += col
-    two = padded == gains.shape[1] - 2
-    rest = ~two
-    newton = rest.any()
-    # a batch of two-user rows only, as in a one-K two-user sweep, needs no gather
-    pick = two if newton else slice(None)
-    seed = np.empty(len(gains))
-    if two.any():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            seed[pick] = np.log2(
-                rate_ceiling_two_user(gains[pick, -2], gains[pick, -1], phi[pick], power_budget_mw, np.sqrt)
-            )
-    if newton:
-        seed[rest] = _newton_rows(gains[rest], phi[rest], pad[rest], power_budget_mw, hi[rest], q[rest])
-    return seed
-
-
-def _newton_rows(gains, phi, pad, power_budget_mw, hi, q):
-    """`_newton` on every row, with numpy's exp2 for 2**q. Rows stay in
-    place; one that has settled or left (0, hi) is masked out of live and
-    its arithmetic from then on is discarded."""
-    seed = np.full(len(q), np.nan)
-    live = np.ones(len(q), dtype=bool)
-    feasible = np.zeros(len(q), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_EVALS):
-            live &= (0.0 < q) & (q < hi)
-            if not live.any():
-                break
-            rho = np.exp2(q)
-            _, total, slope, ok = _recursion(gains.T, phi, rho, pad, tangent=True)
-            fits = ok & (total <= power_budget_mw)
-            step = total * (1.0 - total / power_budget_mw) / (slope * rho * _LN2)
-            ahead = q + step
-            settled = live & np.where(fits, step < _NEWTON_STOP * np.maximum(1.0, ahead), feasible)
-            seed = np.where(settled, np.where(fits, ahead, q), seed)
-            live &= ~settled
-            q = np.where(fits, ahead, 0.5 * q)
-            feasible |= fits
-    return seed
-
-
-def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
-    """`_window` on every row."""
-    r = _seed_rows(gains, phi, pad, power_budget_mw, hi, floor)
-    lo_e, hi_e = r - _WINDOW, r + _WINDOW
-    certified = (0.0 < lo_e) & (hi_e < hi)
-    rows = np.flatnonzero(certified)
-    cols, phi, pad = gains[rows].T, phi[rows], pad[rows]
-    accepts_lo = _fits(cols, phi, power_budget_mw, lo_e[rows], pad)
-    certified[rows] = accepts_lo & ~_fits(cols, phi, power_budget_mw, hi_e[rows], pad)
-    return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
-
-
-def _move(bits, q, move, narrow, step=None):
-    """Set the bounds picked by move, a (2, M) mask over the int64 view bits
-    of the (lo, hi) rows, to their row's midpoint in q. Bounds and midpoints
-    are finite and nonnegative, so their bit patterns are int64s in
-    [0, 2**63) whose differences cannot overflow, and bits += (q_bits -
-    bits) * move sets each picked bound to q exactly, with no branch on the
-    mask. Raises if a picked bound is its own midpoint (see `_can_stall`);
-    narrow says whether that can happen. step, if given, is a (2, M) int64
-    buffer for the differences."""
-    step = np.subtract(q.view(np.int64), bits, out=step)
-    step *= move
-    if narrow and (move & (step == 0)).any():
-        raise ValueError(_BRACKET_STALLED)
-    bits += step
-
-
-def _replay(bounds, lo_e, hi_e, tol, narrow, q, move, step):
-    """Decide by compares, in place, every midpoint of the (2, M) (lo, hi)
-    rows in bounds that lies outside its row's window (lo_e, hi_e), round
-    after round, until each midpoint left in q lies inside its window or
-    belongs to a bracket narrower than tol. q, move and step are buffers of
-    shape (M,), (2, M) and (2, M). Returns the widths once some bracket is
-    narrower than tol, else None.
-
-    A round whose move mask picks nothing changes no bits, so the rounds
-    that `_rounds_to_close` guarantees to leave every bracket open are only
-    the midpoint, the two compares and the blend: they compute no width and
-    never test whether anything moved."""
-    lo, hi = bounds
-    bits = bounds.view(np.int64)
-    closing = False
-    blind = 0
-    while True:
-        np.add(lo, hi, out=q)
-        q *= 0.5
-        np.less_equal(q, lo_e, out=move[0])
-        np.greater_equal(q, hi_e, out=move[1])
-        if blind:
-            blind -= 1
-        else:
-            width = hi - lo
-            narrowest = float(width.min())
-            closing = closing or narrowest < tol
-            if closing:
-                move &= width >= tol
-            if not move.any():
-                return width if closing else None
-            if not narrow:
-                # the count starts at this round, which was checked
-                blind = max(_rounds_to_close(narrowest, tol) - 1, 0)
-        _move(bits, q, move, narrow, step)
-
-
-# `_maxmin_rows` solves fewer rows than this one at a time on the scalar
-# path. A lockstep costs about 1.2-2 ms whatever its size and a scalar row
-# about 50-90 us, so the two break even near 40-55 rows at K = 2..6.
-_SCALAR_ROWS = 32
-
-
-def _maxmin_rows(gains, phi, power_budget_mw, tol):
-    """The (3, M) max-min, optimal-time TDMA and equal-time TDMA rates of
-    every row of an (M, K) gain matrix, with one stringency per row in phi,
-    equal bit for bit to `solve_maxmin_bisection`'s and `tdma_maxmin`'s;
-    every row's weakest gain must clear its phi.
-
-    A row with fewer than K users holds its gains, ascending, in its last
-    columns and +inf in the leading ones. Fewer than _SCALAR_ROWS rows are
-    solved one at a time by `_maxmin`, others in one `_lockstep`.
-    Either way the budget, the tolerance and every row's bracket are checked
-    before any row is bisected, and a tolerance too coarse for some row
-    raises once every row is.
-    """
-    _check_budget_and_tol(power_budget_mw, tol)
-    if len(gains) < _SCALAR_ROWS:
-        # drop each row's padding: its +inf gains left of the last column
-        rows = [(g[g[:-1].count(math.inf) :], f) for g, f in zip(gains.tolist(), phi.tolist())]
-        for g, _ in rows:
-            _bracket_top(g[0], power_budget_mw)  # every bracket before any bisection
-        rates = np.array([_maxmin(g, f, power_budget_mw, tol)[:3] for g, f in rows]).reshape(-1, 3).T
-    else:
-        rates = _lockstep(gains, phi, power_budget_mw, tol)
-    if not (rates[0] > 0.0).all():
-        raise ValueError(_TOO_COARSE)
-    return rates
-
-
-def _lockstep(gains, phi, power_budget_mw, tol):
-    """`_maxmin_rows`' rates of all rows at once; max-min rate 0.0 for a row
-    that accepted no floor.
-
-    Each row keeps its own bracket, a column of one (2, M) array of (lo,
-    hi). A floor is accepted by raising lo to it, so lo is the last accepted
-    floor, or 0.0 if there was none. In each pass every row first replays
-    its midpoints by compares alone, in place, until each lies inside its
-    window; only such rows then take an exact step, and a row leaves between
-    passes once its bracket is narrower than tol. While every bracket is at
-    least tol wide, no round computes which rows are live.
-    """
-    pad = np.isinf(gains[:, :-1])
-    pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
-    with np.errstate(over="ignore"):
-        hi = _log2_each(1.0 + _min(gains.T) * power_budget_mw)
-    if (hi == np.inf).any():
-        raise OverflowError(_BRACKET_OVERFLOW)
-    # the optimal-time TDMA rate is a feasible floor
-    floor, rate_eq = _tdma_maxmin_rows(gains, phi, power_budget_mw)
-    narrow = _can_stall(tol, float(hi.max(initial=0.0)))
-    lo_e, hi_e = _window_rows(gains, phi, pad, power_budget_mw, hi, floor)
-    rate = np.empty(len(gains))
-    active = np.arange(len(gains))
-    bounds = np.stack((np.zeros(len(gains)), hi))
-    # the replay's buffers; a pass uses the first columns, one per live row
-    mid = np.empty(len(gains))
-    moves = np.empty(bounds.shape, dtype=bool)
-    steps = np.empty(bounds.shape, dtype=np.int64)
-    while active.size:
-        live_rows = active.size
-        q = mid[:live_rows]
-        width = _replay(bounds, lo_e, hi_e, tol, narrow, q, moves[:, :live_rows], steps[:, :live_rows])
-        if width is not None:
-            live = width >= tol
-            done = ~live
-            rate[active[done]] = bounds[0, done]
-            active, gains, phi, pad = active[live], gains[live], phi[live], pad[live]
-            bounds, lo_e, hi_e, q = bounds[:, live], lo_e[live], hi_e[live], q[live]
-            if not active.size:
-                break
-        # every midpoint left lies inside its window: one exact step
-        accept = _fits(gains.T, phi, power_budget_mw, q, pad)
-        _move(bounds.view(np.int64), q, np.stack((accept, ~accept)), narrow)
-    return np.stack((rate, floor, rate_eq))
 
 
 def _psi(g1, g2, phi, p, sqrt=math.sqrt):

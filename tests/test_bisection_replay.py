@@ -20,21 +20,21 @@ from secnoma import (
     solve_maxmin_bisection,
     trial_seeds,
 )
-from secnoma import maxmin
-from secnoma.maxmin import _log2_each, _maxmin_rows, _tdma_maxmin_rows, _window_rows
+from secnoma import _rows, maxmin
+from secnoma._rows import _log2_each, _maxmin_rows, _tdma_maxmin_rows, _window_rows
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
 
 COARSE = "tolerance too coarse to certify a positive rate at this budget"
 STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
-SCALAR_ROWS = maxmin._SCALAR_ROWS
+SCALAR_ROWS = _rows._SCALAR_ROWS
 
 
 @pytest.fixture(autouse=True)
 def _lockstep_only(monkeypatch):
     # the batches here are small; without this they would take the scalar
     # route and leave the lockstep untested
-    monkeypatch.setattr(maxmin, "_SCALAR_ROWS", 0)
+    monkeypatch.setattr(_rows, "_SCALAR_ROWS", 0)
 
 
 def _plain_bisection(gains, phi, budget, tol):
@@ -133,16 +133,16 @@ _WRONG_SEEDS = {
 
 @pytest.mark.parametrize("shift", _WRONG_SEEDS.values(), ids=_WRONG_SEEDS)
 def test_bad_seed_is_harmless(monkeypatch, shift):
-    seed, seed_rows = maxmin._seed, maxmin._seed_rows
+    seed, seed_rows = maxmin._seed, _rows._seed_rows
     monkeypatch.setattr(maxmin, "_seed", lambda *args: shift(seed(*args)))
-    monkeypatch.setattr(maxmin, "_seed_rows", lambda *args: shift(seed_rows(*args)))
+    monkeypatch.setattr(_rows, "_seed_rows", lambda *args: shift(seed_rows(*args)))
     rows, eaves = _standard_rows()
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
         assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
 
 
 def _replay_checking_every_round(bounds, lo_e, hi_e, tol):
-    """The compare rounds of `maxmin._replay` as first written, in place:
+    """The compare rounds of `_rows._replay` as first written, in place:
     every round computes the widths and stops once nothing moves. Returns
     the last midpoints and the widths if some bracket closed, else None."""
     lo, hi = bounds
@@ -200,7 +200,7 @@ def test_replay_skips_only_rounds_in_which_no_bracket_can_close(case):
     expected = bounds.copy()
     q_expected, width_expected = _replay_checking_every_round(expected, lo_e, hi_e, tol)
     q, move, step = np.empty(len(lo)), np.empty(bounds.shape, dtype=bool), np.empty(bounds.shape, dtype=np.int64)
-    width = maxmin._replay(bounds, lo_e, hi_e, tol, False, q, move, step)
+    width = _rows._replay(bounds, lo_e, hi_e, tol, False, q, move, step)
     assert bounds.tobytes() == expected.tobytes() and q.tobytes() == q_expected.tobytes()
     if width_expected is None:
         assert width is None
@@ -247,6 +247,8 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
         calls["fits"] += 1
         return fits(*args)
 
+    # the lockstep's exact tests reach the patched 2**q through `maxmin._fits`,
+    # which `_rows` binds unpatched; the scalar bisection calls `maxmin._fits`
     monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
     monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _standard_rows(seed=11, trials=150)
@@ -260,11 +262,11 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
         budget = 10.0 ** (p_dbm / 10.0)
         calls["pow"] = 0
         _maxmin_rows(gains, phis, budget, 1e-10)
-        assert calls["pow"] / len(feasible) <= 6.0
+        assert 0 < calls["pow"] / len(feasible) <= 6.0
         calls["fits"] = 0
         for row in feasible:
             solve_maxmin_bisection(ChannelRealization(tuple(row), eaves), eps, budget)
-        assert calls["fits"] / len(feasible) <= 6.0
+        assert 0 < calls["fits"] / len(feasible) <= 6.0
         solved += len(feasible)
     assert solved > 1000
 
@@ -284,7 +286,7 @@ def test_newton_windows_are_frozen(monkeypatch):
     # test_replay_keeps_exact_tests_few (recorded before the seed stopped
     # compacting its rows, when it also seeded the two-user rows of a
     # padded batch)
-    monkeypatch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
+    monkeypatch.setattr(_rows, "_seed_rows", _rows._newton_rows)
     rows, eaves = _standard_rows(seed=11, trials=150)
     digest = hashlib.sha256()
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
@@ -333,7 +335,7 @@ def test_extreme_tolerances_raise_alike_on_both_routes(monkeypatch, tol, weak_ga
     gains, phis = _batch(rows, eaves, 0.2)
     assert len(gains) >= SCALAR_ROWS
     for scalar_rows in (len(gains) + 1, SCALAR_ROWS):
-        monkeypatch.setattr(maxmin, "_SCALAR_ROWS", scalar_rows)
+        monkeypatch.setattr(_rows, "_SCALAR_ROWS", scalar_rows)
         with pytest.raises(ValueError) as raised:
             _maxmin_rows(gains, phis, 1.0, tol)
         assert type(raised.value) is ValueError and str(raised.value) == message
@@ -379,7 +381,7 @@ def test_newton_from_an_infeasible_start():
         phi = float(phis[0])
         switch = np.array([_plain_bisection(row, phi, budget, 1e-13)[0] for row in rows])
         scalar = np.array([maxmin._newton(row, phi, budget, h, 0.999 * h) for row, h in zip(rows, hi.tolist())])
-        batch = maxmin._newton_rows(gains, phis, pad, budget, hi, 0.999 * hi)
+        batch = _rows._newton_rows(gains, phis, pad, budget, hi, 0.999 * hi)
         for seeds in (scalar, batch):
             close.append(np.abs(seeds - switch) <= 1e-11)
             assert (close[-1] | (np.isnan(seeds) & (switch < hi / 256.0))).all()
@@ -392,13 +394,15 @@ def test_newton_outside_the_bracket_is_nan():
         for start in (np.zeros_like(hi), hi):
             for row, h, q in zip(rows, hi.tolist(), start.tolist()):
                 assert math.isnan(maxmin._newton(row, float(phis[0]), budget, h, q))
-            assert np.isnan(maxmin._newton_rows(gains, phis, pad, budget, hi, start)).all()
+            assert np.isnan(_rows._newton_rows(gains, phis, pad, budget, hi, start)).all()
 
 
 def test_unsettled_newton_seed_is_harmless(monkeypatch):
     # one evaluation does not settle, so the rows Newton seeds get no
     # window and take an exact test at every midpoint
-    monkeypatch.setattr(maxmin, "_NEWTON_EVALS", 1)
+    # the scalar and the row Newton seeds each read their own module's count
+    for module in (maxmin, _rows):
+        monkeypatch.setattr(module, "_NEWTON_EVALS", 1)
     rows, eaves = _standard_rows()
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
         assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
@@ -417,9 +421,9 @@ def _two_user_rows(seed=11, trials=500):
 
 @pytest.mark.parametrize("shift", _WRONG_SEEDS.values(), ids=_WRONG_SEEDS)
 def test_bad_seed_is_harmless_on_two_users(monkeypatch, shift):
-    seed, seed_rows = maxmin._seed, maxmin._seed_rows
+    seed, seed_rows = maxmin._seed, _rows._seed_rows
     monkeypatch.setattr(maxmin, "_seed", lambda *args: shift(seed(*args)))
-    monkeypatch.setattr(maxmin, "_seed_rows", lambda *args: shift(seed_rows(*args)))
+    monkeypatch.setattr(_rows, "_seed_rows", lambda *args: shift(seed_rows(*args)))
     rows, eaves = _two_user_rows(trials=80)
     for eps, p_dbm in ((0.1, 0.0), (0.3, 20.0), (0.05, 40.0)):
         assert _check_against_oracle(rows, eaves, eps, 10.0 ** (p_dbm / 10.0), 1e-10)
@@ -446,7 +450,7 @@ def test_two_user_replay_equals_plain_bisection(instance):
 
 
 def test_two_users_take_no_newton_step(monkeypatch):
-    newton_rows = maxmin._newton_rows
+    newton_rows = _rows._newton_rows
     batches = []
 
     def no_newton(*args):
@@ -457,7 +461,7 @@ def test_two_users_take_no_newton_step(monkeypatch):
         return newton_rows(gains, *args)
 
     monkeypatch.setattr(maxmin, "_newton", no_newton)
-    monkeypatch.setattr(maxmin, "_newton_rows", count_newton_rows)
+    monkeypatch.setattr(_rows, "_newton_rows", count_newton_rows)
     rows, eaves = _two_user_rows(trials=60)
     assert _check_against_oracle(rows, eaves, 0.25, 100.0, 1e-10)
     assert batches == []
@@ -486,7 +490,7 @@ def test_per_row_seeds_equal_newton_seeds_on_a_mixed_batch(monkeypatch):
         certified = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
         rates = _maxmin_rows(gains, phis, budget, 1e-10)[0]
         with monkeypatch.context() as patch:
-            patch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
+            patch.setattr(_rows, "_seed_rows", _rows._newton_rows)
             newton = np.isfinite(_window_rows(gains, phis, pad, budget, hi, floor)[0])
             assert rates.tobytes() == _maxmin_rows(gains, phis, budget, 1e-10)[0].tobytes()
         assert newton.mean() > 0.95 and not (newton & ~certified).any()
@@ -506,6 +510,8 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
         calls["fits"] += 1
         return fits(*args)
 
+    # the lockstep's exact tests reach the patched 2**q through `maxmin._fits`,
+    # which `_rows` binds unpatched; the scalar bisection calls `maxmin._fits`
     monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
     monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _two_user_rows(trials=600)
@@ -514,11 +520,11 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
         gains, phis = _batch(rows, eaves, eps)
         calls["pow"] = 0
         _maxmin_rows(gains, phis, budget, 1e-10)
-        assert calls["pow"] / len(gains) <= 6.0
+        assert 0 < calls["pow"] / len(gains) <= 6.0
         calls["fits"] = 0
         for row in gains.tolist():
             solve_maxmin_bisection(ChannelRealization(tuple(row), eaves), eps, budget)
-        assert calls["fits"] / len(gains) <= 6.0
+        assert 0 < calls["fits"] / len(gains) <= 6.0
         solved += len(gains)
     assert solved > 1000
 
@@ -542,7 +548,7 @@ def test_closed_form_certifies_wherever_newton_does(monkeypatch):
         phi = phi[g1 > phi]
         closed = _window_certified(gains, phi, budget)
         with monkeypatch.context() as patch:
-            patch.setattr(maxmin, "_seed_rows", maxmin._newton_rows)
+            patch.setattr(_rows, "_seed_rows", _rows._newton_rows)
             newton = _window_certified(gains, phi, budget)
         assert newton.mean() > 0.95
         assert not (newton & ~closed).any()

@@ -18,7 +18,7 @@ from secnoma import (
     sample_trial_gains,
     trial_seeds,
 )
-from secnoma import channel
+from secnoma import _draw
 
 
 def test_db_conversions():
@@ -141,7 +141,7 @@ ROOT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5]
 def test_trial_seeds_equal_numpy_generate_state(seed):
     # odd word counts and one past a draw block: the pool is cycled four
     # words at a time and sliced to two words a trial
-    for trials in (0, 1, 2, 3, 5, channel._DRAW_BLOCK + 3):
+    for trials in (0, 1, 2, 3, 5, _draw._DRAW_BLOCK + 3):
         got = trial_seeds(seed, trials)
         want = np.random.SeedSequence(seed).generate_state(trials, np.uint64)
         assert got.dtype == want.dtype and got.shape == want.shape

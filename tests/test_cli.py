@@ -103,6 +103,44 @@ def test_usage_errors_exit_one():
     assert rc == EXIT_USAGE
 
 
+def _exit(call, capsys):
+    """Exit code, stdout and stderr of a parser call that exits."""
+    with pytest.raises(SystemExit) as exited:
+        call()
+    return (exited.value.code, *capsys.readouterr())
+
+
+_COMMANDS = ("min-power", "max-min-rate", "compare-oma", "sweep")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(command, capsys):
+    # a call that names its subcommand builds that parser alone; its help and
+    # its usage errors must read as the parser of all four gives them
+    full, alone = secnoma.cli.build_parser(), secnoma.cli.build_parser(command)
+    helped = _exit(lambda: alone.parse_args([command, "--help"]), capsys)
+    assert helped == _exit(lambda: full.parse_args([command, "--help"]), capsys)
+    assert helped[0] == 0 and helped[1].startswith(f"usage: secnoma {command} ")
+    for argv in ([command, "--bogus"], [command, "extra"], [command]):
+        failed = _exit(lambda: alone.parse_args(argv), capsys)
+        assert failed == _exit(lambda: full.parse_args(argv), capsys)
+        assert failed[0] == EXIT_USAGE and failed[1] == "" and "error:" in failed[2]
+    # the handlers report a bad channel through the top-level parser
+    failed = _exit(lambda: alone.error("bad channel"), capsys)
+    assert failed == _exit(lambda: full.error("bad channel"), capsys)
+    assert all(name in failed[2] for name in _COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]], ids=["help", "none", "unknown"])
+def test_top_level_calls_list_every_subcommand(argv, capsys):
+    called = _exit(lambda: secnoma.cli.main(argv), capsys)
+    assert called == _exit(lambda: secnoma.cli.build_parser().parse_args(argv), capsys)
+    shown = called[1] + called[2]
+    assert all(name in shown for name in _COMMANDS)
+    if argv == ["--help"]:
+        assert "superposition vs TDMA max-min rates" in shown  # every subcommand's own line
+
+
 def test_domain_errors_exit_one():
     rc, _, err = run_cli(
         "min-power", "--gains-db", GAINS_DB, "--eaves-db", "0", "--q", "-1", "--eps", EPS
@@ -586,15 +624,20 @@ def test_array_calls_import_numpy(tmp_path):
 
 
 # each call imports its handler's solver modules and nothing else; the
-# channel (and its lazy numpy) comes with the CLI itself
+# channel (and its lazy numpy) comes with the CLI itself. The fading draw
+# (`_draw`) loads only where a call samples gains, and the row solvers
+# (`_rows`) only in a fading sweep.
 _CLI_MODULES = ["secnoma", "secnoma._lazy", "secnoma._record", "secnoma.channel", "secnoma.cli"]
+_SWEEP_MODULES = ["experiments", "maxmin", "power_min", "secrecy", "tdma"]
+_FADING_SPECS = ("avg_rate_vs_eps", "gain_vs_users")
 _SOLVER_MODULES = {
     "help": [],
     "min-power": ["power_min", "secrecy"],
     "max-min-rate": ["maxmin", "power_min", "secrecy"],
     "compare-oma": ["maxmin", "power_min", "secrecy", "tdma"],
-    "max-min-rate-geometry": ["maxmin", "power_min", "secrecy"],
-    "sweep-power_vs_qos": ["experiments", "maxmin", "power_min", "secrecy", "tdma"],
+    "max-min-rate-geometry": ["_draw", "maxmin", "power_min", "secrecy"],
+    **{f"sweep-{path.stem}": _SWEEP_MODULES for path in _FIXED_SPECS},
+    **{f"sweep-{name}": ["_draw", "_rows", *_SWEEP_MODULES] for name in _FADING_SPECS},
 }
 _PACKAGE_REPORT = """\
 import json, sys
@@ -608,7 +651,8 @@ _GEOMETRY_CALL = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eav
 
 @pytest.mark.parametrize("case", _SOLVER_MODULES)
 def test_each_call_loads_only_its_modules(case, tmp_path):
-    code, *args = {**_SCALAR_CASES, "max-min-rate-geometry": (_RUN_CLI, *_GEOMETRY_CALL)}[case]
+    fading = {f"sweep-{name}": (_RUN_CLI, "sweep", "--config", str(_SPECS_DIR / f"{name}.spec")) for name in _FADING_SPECS}
+    code, *args = {**_SCALAR_CASES, **fading, "max-min-rate-geometry": (_RUN_CLI, *_GEOMETRY_CALL)}[case]
     proc = subprocess.run(
         [sys.executable, "-c", code + _PACKAGE_REPORT, *args], cwd=tmp_path, capture_output=True, text=True
     )

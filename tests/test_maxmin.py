@@ -19,7 +19,8 @@ from secnoma import (
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
-from secnoma.maxmin import _maxmin_rows, rate_ceiling_two_user
+from secnoma._rows import _maxmin_rows
+from secnoma.maxmin import rate_ceiling_two_user
 
 from oracles import maxmin_rate_reference
 

@@ -51,6 +51,8 @@ def test_public_names_are_frozen():
     assert len(PUBLIC) == 54
     assert names == PUBLIC
     assert before == [["secnoma"], PUBLIC]  # a bare import loads nothing
+    # every public module, but not the fading draw (`_draw`) or the row
+    # solvers (`_rows`): those load on first use
     private = ["secnoma", "secnoma._lazy", "secnoma._record"]
     assert after == [sorted(private + [f"secnoma.{m}" for m in SUBMODULES]), PUBLIC]
     assert starred == PUBLIC

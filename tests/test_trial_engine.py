@@ -21,10 +21,10 @@ from secnoma import (
     tdma_maxmin,
     trial_seeds,
 )
-from secnoma import channel, experiments, maxmin
-from secnoma.channel import _gains_from_uniforms, _trial_uniforms
-from secnoma.experiments import _maxmin_rates_per_trial, _mean_stderr
-from secnoma.maxmin import _log2_each, _pow2_each
+from secnoma import _draw, _rows, maxmin
+from secnoma._draw import _gains_from_uniforms, _trial_uniforms
+from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _mean_stderr
+from secnoma.maxmin import _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
 
@@ -187,7 +187,7 @@ def _check_points(points, eaves, p, tol=1e-10):
     lockstep, and compare every row with the scalar solvers; returns the
     feasible count per point."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(maxmin, "_SCALAR_ROWS", 0)
+        patch.setattr(_rows, "_SCALAR_ROWS", 0)
         got = list(_maxmin_rates_per_trial([(g, _stringency(eaves, eps)) for g, eps in points], p, tol))
     assert len(got) == len(points)
     counts = []
@@ -225,18 +225,18 @@ class _BatchSpy:
 
     def __init__(self, monkeypatch):
         self.shapes = []
-        monkeypatch.setattr(maxmin, "_SCALAR_ROWS", 0)
-        solve = maxmin._lockstep
+        monkeypatch.setattr(_rows, "_SCALAR_ROWS", 0)
+        solve = _rows._lockstep
 
         def spy(gains, *args):
             self.shapes.append(gains.shape)
             return solve(gains, *args)
 
-        monkeypatch.setattr(maxmin, "_lockstep", spy)
+        monkeypatch.setattr(_rows, "_lockstep", spy)
 
 
 def test_rates_per_trial_batches_cross_the_cap(monkeypatch):
-    monkeypatch.setattr(experiments, "_BATCH_ROWS", 100)
+    monkeypatch.setattr(_rows, "_BATCH_ROWS", 100)
     spy = _BatchSpy(monkeypatch)
     rng = np.random.default_rng(21)
     gains = [_random_gains(num, 60, rng) for num in (2, 3, 5, 4)]
@@ -280,7 +280,7 @@ def test_rates_per_trial_validate_like_the_scalar_solvers():
 
 def test_draw_blocks_join_bit_for_bit():
     # one row past the second block boundary, each row numpy's own draw
-    seeds = trial_seeds(79, channel._DRAW_BLOCK + 3)
+    seeds = trial_seeds(79, _draw._DRAW_BLOCK + 3)
     uniforms = _trial_uniforms(seeds, 5)
     assert uniforms.shape == (len(seeds), 5)
     expected = np.array(
@@ -289,7 +289,7 @@ def test_draw_blocks_join_bit_for_bit():
     assert uniforms.tobytes() == expected.tobytes()
 
 
-# Batches with fewer feasible rows than maxmin._SCALAR_ROWS are bisected
+# Batches with fewer feasible rows than _rows._SCALAR_ROWS are bisected
 # row by row on the scalar path; the tests below hold both routes to the
 # same bits and the same errors.
 
@@ -302,17 +302,21 @@ def _recording(solve, name, taken):
     return record
 
 
+# the module each recorded function's caller looks it up in
+_HOME = {"_bisect": maxmin, "_lockstep": _rows, "_tdma_maxmin_rows": _rows, "_window_rows": _rows}
+
+
 def _routes(points, p, tol, recorded=("_bisect", "_lockstep")):
     """(row-by-row result or error, lockstep result or error) of one call
-    on the (gains, phi) points, and the set of the recorded maxmin
-    functions each call took."""
+    on the (gains, phi) points, and the set of the recorded functions each
+    call took."""
     taken, results = [], []
-    for threshold in (maxmin._SCALAR_ROWS, 0):
+    for threshold in (_rows._SCALAR_ROWS, 0):
         names = set()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(maxmin, "_SCALAR_ROWS", threshold)
+            patch.setattr(_rows, "_SCALAR_ROWS", threshold)
             for name in recorded:
-                patch.setattr(maxmin, name, _recording(getattr(maxmin, name), name, names))
+                patch.setattr(_HOME[name], name, _recording(getattr(_HOME[name], name), name, names))
             try:
                 results.append(list(_maxmin_rates_per_trial(points, p, tol)))
             except (ValueError, OverflowError) as exc:
@@ -338,7 +342,7 @@ def _ragged_points(feasible, rng):
 @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
 def test_route_at_the_threshold_equals_lockstep(offset):
     rng = np.random.default_rng(23)
-    points = _ragged_points(maxmin._SCALAR_ROWS + offset, rng)
+    points = _ragged_points(_rows._SCALAR_ROWS + offset, rng)
     for p in (0.01, 1.0, 100.0):
         (routed, lockstep), taken = _routes(points, p, 1e-10)
         assert taken == [{"_bisect" if offset < 0 else "_lockstep"}, {"_lockstep"}]
@@ -346,12 +350,12 @@ def test_route_at_the_threshold_equals_lockstep(offset):
         for (rates, feasible), (want_rates, want_feasible) in zip(routed, lockstep):
             assert feasible.tobytes() == want_feasible.tobytes()
             assert rates.tobytes() == want_rates.tobytes()
-        assert 0 < sum(int(f.sum()) for _, f in routed) == maxmin._SCALAR_ROWS + offset
+        assert 0 < sum(int(f.sum()) for _, f in routed) == _rows._SCALAR_ROWS + offset
 
 
 def test_route_below_the_threshold_takes_no_row_kernel():
     # the row-by-row route takes its TDMA rates from the scalar kernels too
-    points = _ragged_points(maxmin._SCALAR_ROWS - 1, np.random.default_rng(24))
+    points = _ragged_points(_rows._SCALAR_ROWS - 1, np.random.default_rng(24))
     recorded = ("_bisect", "_lockstep", "_tdma_maxmin_rows", "_window_rows")
     _, taken = _routes(points, 1.0, 1e-10, recorded)
     assert taken == [{"_bisect"}, {"_lockstep", "_tdma_maxmin_rows", "_window_rows"}]
