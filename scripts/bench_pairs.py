@@ -2,12 +2,12 @@
 """Run the benchmark in pairs on two checkouts and record every result.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload eps_sweep \
-        [--seed 11] [--pairs 10] [--rounds 10] --out BENCH.json
+        [--seed 11] [--pairs 10] --out BENCH.json
 
 Each pair runs `perfbench/run.py` once in each checkout, the parent first in
 even pairs and the change first in odd ones. In cli_calls pairs, the
 workload about start-up cost, each pair is followed by the CLI cold starts
-of both checkouts (`cold_start_ms`): --rounds rounds over every call of
+of both checkouts (`cold_start_ms`): ten rounds over every call of
 `perfbench.clicalls.make_calls(seed)`, each call run as a fresh
 `python -m secnoma` process on one checkout's sources and then on the
 other's, in a temporary directory, with the side that goes first
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COLD_START_WORKLOAD = "cli_calls"
+COLD_START_ROUNDS = 10
 # each call of the cli_calls workload as (key, argv), printed by a checkout
 _LIST_CALLS = (
     "import json, sys\n"
@@ -56,10 +57,10 @@ def _env(checkout: Path) -> dict[str, str]:
     return env
 
 
-def cold_start_ms(checkouts: dict[str, Path], seed: int, rounds: int) -> dict[str, dict[str, float]]:
-    """Per side, each cli_calls call's median wall time in ms over `rounds`
-    alternating rounds of fresh processes. Both sides must give a call the
-    same exit status and output."""
+def cold_start_ms(checkouts: dict[str, Path], seed: int) -> dict[str, dict[str, float]]:
+    """Per side, each cli_calls call's median wall time in ms over
+    COLD_START_ROUNDS alternating rounds of fresh processes. Both sides
+    must give a call the same exit status and output."""
     calls = {}
     for side, checkout in checkouts.items():
         proc = subprocess.run([sys.executable, "-c", _LIST_CALLS, str(seed)], cwd=checkout,
@@ -68,7 +69,7 @@ def cold_start_ms(checkouts: dict[str, Path], seed: int, rounds: int) -> dict[st
     sides = list(checkouts)
     times = {side: {key: [] for key, _ in calls[side]} for side in sides}
     with tempfile.TemporaryDirectory() as workdir:
-        for r in range(rounds):
+        for r in range(COLD_START_ROUNDS):
             order = sides if r % 2 == 0 else sides[::-1]
             for i in range(len(calls[sides[0]])):
                 outputs = set()
@@ -125,7 +126,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--rounds", type=int, default=10, help="cold-start rounds after each cli_calls pair")
     ap.add_argument("--out", required=True, type=Path, help="JSON file to extend")
     args = ap.parse_args(argv)
 
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(getattr(args, side), args.workload, args.seed)
         if args.workload == COLD_START_WORKLOAD:
-            pair["cold_start_ms"] = cold_start_ms({side: getattr(args, side) for side in order}, args.seed, args.rounds)
+            pair["cold_start_ms"] = cold_start_ms({side: getattr(args, side) for side in order}, args.seed)
         pairs.append(pair)
         data["summary"][key] = summarise(pairs, better)
         args.out.write_text(json.dumps(data, indent=1) + "\n")

@@ -5,8 +5,6 @@ arithmetic, so every trial's stream is keyed and drawn at once: row i of
 bit for bit. Philox is counter-based, so distinct keys give independent,
 reproducible streams. Only the fading paths load this module.
 """
-from __future__ import annotations
-
 import numbers
 
 import numpy as np

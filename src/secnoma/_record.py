@@ -5,11 +5,9 @@ position or keyword, with the defaults as written, then `__post_init__`; a
 `Name(field=value, ...)` repr; `==` only between instances of the same class,
 by the field tuple, and the hash of that tuple; `__match_args__`; and an
 AttributeError on assigning or deleting an attribute. Pickling and `copy`
-go through the instance `__dict__`. Only `__init__` is compiled, in one
-`exec` per class; every record shares one repr, eq and hash, which read the
-fields from `__match_args__`. The standard library's frozen-class decorator
-compiles six methods, one exec each, and imports `inspect`: about 20 ms of
-every CLI process.
+go through the instance `__dict__`. The four methods come from one `exec`
+per class. The standard library's frozen-class decorator compiles six, one
+exec each, and imports `inspect`: about 20 ms of every CLI process.
 """
 
 _MISSING = object()
@@ -28,23 +26,6 @@ def _no_assign(self, name, value):
 
 def _no_delete(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _fields(self):
-    return tuple(getattr(self, name) for name in self.__match_args__)
-
-
-def _repr(self):
-    shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, _fields(self)))
-    return f"{self.__class__.__qualname__}({shown})"
-
-
-def _eq(self, other):
-    return _fields(self) == _fields(other) if other.__class__ is self.__class__ else NotImplemented
-
-
-def _hash(self):
-    return hash(_fields(self))
 
 
 def record(cls):
@@ -68,10 +49,22 @@ def record(cls):
         body.append(f"  _set(self, {name!r}, {value})\n")
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
-    cls.__init__ = namespace["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__repr__, cls.__eq__, cls.__hash__ = _repr, _eq, _hash
+    own = "".join(f"self.{name}," for name in names)
+    other = "".join(f"other.{name}," for name in names)
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    exec(
+        f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
+        f"def __repr__(self):\n  return f'{{self.__class__.__qualname__}}({shown})'\n"
+        "def __eq__(self, other):\n"
+        f"  if other.__class__ is self.__class__:\n    return ({own}) == ({other})\n"
+        "  return NotImplemented\n"
+        f"def __hash__(self):\n  return hash(({own}))\n",
+        namespace,
+    )
+    for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+        function = namespace[method]
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, function)
     cls.__setattr__, cls.__delattr__ = _no_assign, _no_delete
     cls.__match_args__ = names
     return cls

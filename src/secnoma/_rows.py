@@ -3,8 +3,6 @@ row of an (M, K) gain matrix, bit for bit those of the scalar solvers in
 `maxmin`, and the fading runners' batches and per-point statistics. Only a
 fading sweep loads this module.
 """
-from __future__ import annotations
-
 import functools
 import math
 

@@ -214,46 +214,38 @@ def _cmd_sweep(args, parser):
     return EXIT_OK
 
 
-# each subcommand's help line and handler, in the order --help lists them
-_COMMANDS = {
-    "min-power": ("cheapest allocation meeting a per-user QoS floor", _cmd_min_power),
-    "max-min-rate": ("largest common confidential rate under a budget", _cmd_max_min_rate),
-    "compare-oma": ("superposition vs TDMA max-min rates", _cmd_compare_oma),
-    "sweep": ("run a sweep spec from a config file, write CSV", _cmd_sweep),
-}
-
-
-def build_parser(command=None):
-    """The CLI's parser, with every subcommand's parser or, if `command`
-    names one, with that one's alone; the usage line lists all four either
-    way, so usage errors read the same."""
+def build_parser():
     parser = _Parser(prog="secnoma", description=__doc__)
-    listed = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
-    for name, (summary, handler) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p_cmd = sub.add_parser(name, help=summary)
-        p_cmd.set_defaults(handler=handler)
-        if name == "sweep":
-            p_cmd.add_argument("--config", required=True, help="flat key = value config file")
-            p_cmd.add_argument("--out", help="output CSV path (overrides 'out' in the config)")
-            continue
-        _add_channel_options(p_cmd)
-        if name == "min-power":
-            p_cmd.add_argument("--q", type=float, required=True, help="confidential rate floor, bits/use")
-        else:
-            p_cmd.add_argument("--p-dbm", type=float, required=True, help="total power budget, dBm")
-        p_cmd.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
-        if name == "max-min-rate":
-            p_cmd.add_argument("--tol", type=float, help="bisection rate tolerance (default 1e-10)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_min = sub.add_parser("min-power", help="cheapest allocation meeting a per-user QoS floor")
+    _add_channel_options(p_min)
+    p_min.add_argument("--q", type=float, required=True, help="confidential rate floor, bits/use")
+    p_min.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
+    p_min.set_defaults(handler=_cmd_min_power)
+
+    p_max = sub.add_parser("max-min-rate", help="largest common confidential rate under a budget")
+    _add_channel_options(p_max)
+    p_max.add_argument("--p-dbm", type=float, required=True, help="total power budget, dBm")
+    p_max.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
+    p_max.add_argument("--tol", type=float, help="bisection rate tolerance (default 1e-10)")
+    p_max.set_defaults(handler=_cmd_max_min_rate)
+
+    p_cmp = sub.add_parser("compare-oma", help="superposition vs TDMA max-min rates")
+    _add_channel_options(p_cmp)
+    p_cmp.add_argument("--p-dbm", type=float, required=True, help="total power budget, dBm")
+    p_cmp.add_argument("--eps", type=float, required=True, help="secrecy outage bound in (0,1)")
+    p_cmp.set_defaults(handler=_cmd_compare_oma)
+
+    p_swp = sub.add_parser("sweep", help="run a sweep spec from a config file, write CSV")
+    p_swp.add_argument("--config", required=True, help="flat key = value config file")
+    p_swp.add_argument("--out", help="output CSV path (overrides 'out' in the config)")
+    p_swp.set_defaults(handler=_cmd_sweep)
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    # a call that names its subcommand first builds that parser alone
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)

@@ -103,44 +103,6 @@ def test_usage_errors_exit_one():
     assert rc == EXIT_USAGE
 
 
-def _exit(call, capsys):
-    """Exit code, stdout and stderr of a parser call that exits."""
-    with pytest.raises(SystemExit) as exited:
-        call()
-    return (exited.value.code, *capsys.readouterr())
-
-
-_COMMANDS = ("min-power", "max-min-rate", "compare-oma", "sweep")
-
-
-@pytest.mark.parametrize("command", _COMMANDS)
-def test_one_subcommand_parser_reads_as_the_full_one(command, capsys):
-    # a call that names its subcommand builds that parser alone; its help and
-    # its usage errors must read as the parser of all four gives them
-    full, alone = secnoma.cli.build_parser(), secnoma.cli.build_parser(command)
-    helped = _exit(lambda: alone.parse_args([command, "--help"]), capsys)
-    assert helped == _exit(lambda: full.parse_args([command, "--help"]), capsys)
-    assert helped[0] == 0 and helped[1].startswith(f"usage: secnoma {command} ")
-    for argv in ([command, "--bogus"], [command, "extra"], [command]):
-        failed = _exit(lambda: alone.parse_args(argv), capsys)
-        assert failed == _exit(lambda: full.parse_args(argv), capsys)
-        assert failed[0] == EXIT_USAGE and failed[1] == "" and "error:" in failed[2]
-    # the handlers report a bad channel through the top-level parser
-    failed = _exit(lambda: alone.error("bad channel"), capsys)
-    assert failed == _exit(lambda: full.error("bad channel"), capsys)
-    assert all(name in failed[2] for name in _COMMANDS)
-
-
-@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]], ids=["help", "none", "unknown"])
-def test_top_level_calls_list_every_subcommand(argv, capsys):
-    called = _exit(lambda: secnoma.cli.main(argv), capsys)
-    assert called == _exit(lambda: secnoma.cli.build_parser().parse_args(argv), capsys)
-    shown = called[1] + called[2]
-    assert all(name in shown for name in _COMMANDS)
-    if argv == ["--help"]:
-        assert "superposition vs TDMA max-min rates" in shown  # every subcommand's own line
-
-
 def test_domain_errors_exit_one():
     rc, _, err = run_cli(
         "min-power", "--gains-db", GAINS_DB, "--eaves-db", "0", "--q", "-1", "--eps", EPS
