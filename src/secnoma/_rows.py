@@ -10,8 +10,9 @@ import numpy as np
 
 from .experiments import AggregateResult
 from .maxmin import (
-    _BRACKET_OVERFLOW, _BRACKET_STALLED, _LN2, _NEWTON_EVALS, _NEWTON_STOP, _TOO_COARSE, _WINDOW, _bracket_top,
-    _can_stall, _check_budget_and_tol, _fits, _maxmin, _rounds_to_close, rate_ceiling_two_user,
+    _BRACKET_STALLED, _LN2, _NEWTON_EVALS, _NEWTON_STOP, _TOO_COARSE, _WINDOW, _bracket_top,
+    _can_stall, _check_budget_and_tol, _equal_time_rate, _fits, _maxmin, _optimal_time_rate, _rounds_to_close,
+    _slot_rate, rate_ceiling_two_user,
 )
 from .power_min import _recursion
 from .secrecy import _sum
@@ -25,16 +26,14 @@ def _min(cols):
 
 
 def _tdma_maxmin_rows(gains, phi, p):
-    """The optimal-time and equal-time TDMA rates of `_tdma_slots` and
-    `_optimal_time` on every row of an (M, K) gain matrix, with one
-    stringency per row in phi, bit for bit. A slot whose gain, or gain times
-    the budget, is +inf takes zero weight; +inf gains are padding, not users."""
+    """`_tdma_rates`' two rates on every row of an (M, K) gain matrix, with
+    one stringency per row in phi, bit for bit: a zero slot rate's weight
+    1/0 = inf makes the optimal-time rate 0.0. +inf gains are padding, not
+    users; they, and gains whose product with p overflows, take no time."""
     with np.errstate(over="ignore", divide="ignore"):
-        full = _log2_each((1.0 + p * gains) / (1.0 + p * phi[:, None]))
-        full = np.where(full > 0.0, full, 0.0)
-        weakest = _min(full.T)
-        rate_opt = np.where(weakest > 0.0, 1.0 / _sum((1.0 / full).T), 0.0)
-    return rate_opt, weakest / _sum(np.isfinite(gains).T)
+        slots = _slot_rate(gains, phi[:, None], p, _log2_each, np.maximum).T
+        rate_opt, _ = _optimal_time_rate(slots)
+    return rate_opt, _equal_time_rate(slots, _sum(np.isfinite(gains).T), _min)
 
 
 # No numpy loop calls libm `log2` (`maxmin._pow2_each` says why the rows round
@@ -207,10 +206,9 @@ def _lockstep(gains, phi, power_budget_mw, tol):
     """
     pad = np.isinf(gains[:, :-1])
     pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
-    with np.errstate(over="ignore"):
-        hi = _log2_each(1.0 + _min(gains.T) * power_budget_mw)
-    if (hi == np.inf).any():
-        raise OverflowError(_BRACKET_OVERFLOW)
+    weakest = _min(gains.T)
+    _bracket_top(float(weakest.max(initial=0.0)), power_budget_mw)  # raises if any row's top overflows
+    hi = _log2_each(1.0 + weakest * power_budget_mw)
     # the optimal-time TDMA rate is a feasible floor
     floor, rate_eq = _tdma_maxmin_rows(gains, phi, power_budget_mw)
     narrow = _can_stall(tol, float(hi.max(initial=0.0)))

@@ -105,10 +105,9 @@ def _maxmin(gains, phi, power_budget_mw, tol):
     must clear phi: (rate, optimal-time TDMA rate, equal-time TDMA rate,
     iterations) of `solve_maxmin_bisection` and `tdma_maxmin`, rate 0.0 if
     the bisection accepted no floor. Raises where the bracket overflows."""
-    full, rate_eq, hi = _tdma_slots(gains, phi, power_budget_mw)
     # the seed starts from the optimal-time TDMA rate, a feasible floor
     # unless a stronger user's slot rate overflowed to inf
-    rate_opt, _ = _optimal_time(full)
+    rate_opt, rate_eq, hi = _tdma_rates(gains, phi, power_budget_mw)
     rate, iterations = _bisect(gains, phi, power_budget_mw, tol, rate_opt, hi)
     return rate, rate_opt, rate_eq, iterations
 
@@ -156,31 +155,35 @@ def _rounds_to_close(width, tol):
     return int(math.log2(ratio)) - 1
 
 
-def _slot_rate_full(gain, phi, p):
-    # per-slot confidential rate of one TDMA user before time scaling, clipped at zero
-    return max(0.0, math.log2((1.0 + p * gain) / (1.0 + p * phi)))
+def _slot_rate(gain, phi, p, log2=math.log2, maximum=max):
+    """Confidential rate of a TDMA slot at the full budget p, on floats, or on
+    arrays with log2 and maximum for arrays: log2((1 + p gain) / (1 + p phi))
+    with the ratio floored at 1, so 0.0 also where only p phi overflows."""
+    return log2(maximum(1.0, (1.0 + p * gain) / (1.0 + p * phi)))
 
 
-def _tdma_slots(gains, phi, p):
-    """The per-slot TDMA rates of one instance's ascending gains, their
-    equal-time common rate (tdma_maxmin's) and the bisection's bracket top,
-    which raises where it overflows."""
-    hi = _bracket_top(gains[0], p)
-    full = [_slot_rate_full(g, phi, p) for g in gains]
-    return full, min(full) / len(full), hi
+def _equal_time_rate(slots, users, minimum=min):
+    """Common rate of equal-time TDMA: the weakest slot rate over the users."""
+    return minimum(slots) / users
 
 
-def _optimal_time(slots):
-    """Common rate of optimal-time TDMA over per-slot rates, and its slot
-    fractions as a generator (the bisection needs only the rate): fractions
-    in proportion to 1/rate equalize the users' rates, which is optimal
-    because each is linear in its own fraction. (0.0, None) when some user
-    has no positive slot rate."""
-    if min(slots) <= 0.0:
-        return 0.0, None
+def _optimal_time_rate(slots):
+    """Common rate 1 / sum(1 / c) of optimal-time TDMA over slot rates c (floats,
+    none 0.0, or columns), and its fractions, 1/c in proportion, as a generator:
+    they equalize the users' rates, optimal as each is linear in its own."""
     weights = [1.0 / c for c in slots]
     total = _sum(weights)
     return 1.0 / total, (w / total for w in weights)
+
+
+def _tdma_rates(gains, phi, p):
+    """The TDMA rates of `_maxmin` and `compare_maxmin` on one instance's
+    ascending gains: (optimal-time rate, equal-time rate, bracket top), both
+    rates 0.0 where a slot rate is. Raises where the bracket top overflows."""
+    hi = _bracket_top(gains[0], p)
+    slots = [_slot_rate(g, phi, p) for g in gains]
+    rate_eq = _equal_time_rate(slots, len(slots))
+    return (_optimal_time_rate(slots)[0] if rate_eq > 0.0 else 0.0), rate_eq, hi
 
 
 # The bisection's result depends only on where its float feasibility test

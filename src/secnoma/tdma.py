@@ -11,15 +11,8 @@ from ._lazy import lazy_module
 from ._record import record
 from .channel import ChannelRealization
 from .maxmin import (
-    _TOO_COARSE,
-    DEFAULT_TOL,
-    _check_budget,
-    _maxmin,
-    _optimal_time,
-    _slot_rate_full,
-    _tdma_slots,
-    check_positive_rate_feasibility,
-    solve_maxmin_two_user,
+    _TOO_COARSE, DEFAULT_TOL, _bracket_top, _check_budget, _equal_time_rate, _maxmin, _optimal_time_rate,
+    _slot_rate, _tdma_rates, check_positive_rate_feasibility, solve_maxmin_two_user,
 )
 from .power_min import InfeasibleReason, InfeasibleVerdict, _alone
 from .secrecy import _stringency, _sum
@@ -27,6 +20,7 @@ from .secrecy import _stringency, _sum
 np = lazy_module("numpy")
 
 _INFEASIBLE = "instance infeasible: no positive common rate exists"
+_NO_TDMA_RATE = "optimal-time TDMA has no positive rate at this budget: the ratio is undefined"
 
 
 @record
@@ -78,7 +72,7 @@ def tdma_user_rate(gain: float, eaves_avg_gain: float, eps: float, p_mw: float, 
     if not (0.0 <= t <= 1.0):
         raise ValueError("slot fraction must lie in [0, 1]")
     phi = _stringency(eaves_avg_gain, eps)
-    return t * _slot_rate_full(gain, phi, p_mw)
+    return t * _slot_rate(gain, phi, p_mw)
 
 
 def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str) -> TdmaMaxMin:
@@ -99,11 +93,12 @@ def tdma_maxmin(channel: ChannelRealization, eps: float, p_mw: float, mode: str)
     _check_budget(p_mw)
     phi = _stringency(channel.eaves_avg_gain, eps)
     num = channel.num_users
-    full, rate, _ = _tdma_slots(channel.user_gains, phi, p_mw)
-    if mode == "optimal_time":
-        rate, fractions = _optimal_time(full)
-        if fractions is not None:
-            return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
+    _bracket_top(channel.user_gains[0], p_mw)  # raises as the bisection does
+    slots = [_slot_rate(g, phi, p_mw) for g in channel.user_gains]
+    rate = _equal_time_rate(slots, num)
+    if mode == "optimal_time" and rate > 0.0:
+        rate, fractions = _optimal_time_rate(slots)
+        return TdmaMaxMin(rate, TimeAllocation(tuple(fractions)))
     # equal slots, also when optimal time has no positive rate (0.0)
     return TdmaMaxMin(rate, TimeAllocation((1.0 / num,) * num))
 
@@ -144,7 +139,8 @@ class MaxMinComparison:
 def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxMinComparison:
     """Max-min rates of superposition vs TDMA on one feasible instance.
 
-    Raises if the instance cannot carry a positive rate, or if the expected
+    Raises if the instance cannot carry a positive rate, if optimal-time
+    TDMA rounds to none (the ratio is then undefined), or if the expected
     ordering (superposition strictly ahead unless all gains are equal; within
     the bisection tolerance when the bisection produced the rate) fails,
     since that would mean a solver bug rather than a modelling outcome.
@@ -154,9 +150,7 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
         noma = solve_maxmin_two_user(channel, eps, p_mw)
         if isinstance(noma, InfeasibleVerdict):
             raise ValueError(_INFEASIBLE)
-        # tdma_maxmin's rates in both modes, from one pass over the slots
-        full, rate_eq, _ = _tdma_slots(gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
-        rate_opt, _ = _optimal_time(full)
+        rate_opt, rate_eq, _ = _tdma_rates(gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
         rate, iterations = noma.rate, 0
     else:
         # solve_maxmin_bisection's checks and kernel, with no allocation
@@ -175,6 +169,8 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
         raise RuntimeError("superposition failed to beat optimal TDMA on unequal gains")
     if hi == lo and abs(rate - rate_opt) > 1e-8:
         raise RuntimeError("equal gains must equalize superposition and optimal TDMA")
+    if rate_opt == 0.0:
+        raise ValueError(_NO_TDMA_RATE)
     return MaxMinComparison(rate, rate_opt, rate_eq, rate / rate_opt)
 
 
@@ -212,11 +208,11 @@ def noma_rate_region_boundary(
 
     p2 = np.linspace(0.0, p, samples)
     r1 = np.log2((1.0 + g1 * p) * (1.0 + phi * p2) / ((1.0 + g1 * p2) * (1.0 + phi * p)))
-    r2 = np.log2((1.0 + g2 * p2) / (1.0 + phi * p2))
+    r2 = _slot_rate(g2, phi, p2, np.log2, np.maximum)
     noma = np.column_stack([r1, r2])
 
-    c1 = _slot_rate_full(g1, phi, p)
-    c2 = _slot_rate_full(g2, phi, p)
+    c1 = _slot_rate(g1, phi, p)
+    c2 = _slot_rate(g2, phi, p)
     t2 = np.linspace(0.0, 1.0, samples)
     tdma = np.column_stack([(1.0 - t2) * c1, t2 * c2])
     return RateRegionBoundary(noma, tdma)

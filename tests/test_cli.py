@@ -183,6 +183,29 @@ def test_overflowing_path_gain_is_one_line_error(tmp_path, args, config):
     assert err == "error: path gains d**-alpha must be positive and finite over the noise floor\n"
 
 
+def test_compare_without_tdma_rate_is_one_line_error():
+    # at -173 dBm every TDMA slot rate rounds to 0, so the ratio has no value
+    rc, out, err = run_cli(
+        "compare-oma", "--gains-db", "0.8,10.6", "--eaves-db", "-15", "--p-dbm", "-173", "--eps", "0.3678794"
+    )
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: optimal-time TDMA has no positive rate at this budget: the ratio is undefined\n"
+
+
+def test_sweep_past_the_stringency_overflow(tmp_path):
+    # the stringency times budgets near 1e302 mW overflows while the gains'
+    # products do not: every slot rate is 0, not a math domain error
+    spec = (_SPECS_DIR / "rate_vs_budget.spec").read_text()
+    spec = spec.replace("gamma_e_db = 20", "gamma_e_db = 100").replace("axis_stop = 40", "axis_stop = 3020")
+    (tmp_path / "sweep.cfg").write_text(spec)
+    rc, out, err = run_cli("sweep", "--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "x.csv"))
+    assert rc == EXIT_OK and err == ""
+    last = (tmp_path / "x.csv").read_text().splitlines()[-3:]
+    assert [row.split(",")[:4] for row in last] == [
+        ["3020", scheme, "min_rate", "0"] for scheme in ("noma", "tdma_opt", "tdma_eq")
+    ]
+
+
 def test_stalled_tolerance_is_one_line_error(tmp_path):
     # 1e-17 is below the float spacing near the rate: the bracket stops
     # shrinking, on the scalar path and on the sweep's row path
@@ -225,10 +248,10 @@ _SCALAR_CALLS = st.one_of(
     st.tuples(
         st.just("max-min-rate"),
         st.fixed_dictionaries(
-            {"p-dbm": st.floats(0.0, 40.0), "eps": _EPS}, optional={"tol": st.floats(1e-12, 1e-3)}
+            {"p-dbm": st.floats(-200.0, 40.0), "eps": _EPS}, optional={"tol": st.floats(1e-12, 1e-3)}
         ),
     ),
-    st.tuples(st.just("compare-oma"), st.fixed_dictionaries({"p-dbm": st.floats(0.0, 40.0), "eps": _EPS})),
+    st.tuples(st.just("compare-oma"), st.fixed_dictionaries({"p-dbm": st.floats(-200.0, 40.0), "eps": _EPS})),
 )
 
 

@@ -14,6 +14,7 @@ from secnoma import (
     compare_maxmin,
     noma_rate_region_boundary,
     solve_maxmin_bisection,
+    solve_maxmin_two_user,
     solve_min_power,
     tdma_maxmin,
     tdma_min_power,
@@ -67,6 +68,16 @@ def test_one_overflowing_slot_takes_no_time():
     assert opt.rate == weak
     assert opt.time.fractions == (1.0, 0.0)
     assert tdma_maxmin(channel, 0.3, 1e110, "equal_time").rate == weak / 2
+
+
+@pytest.mark.parametrize("mode", ["optimal_time", "equal_time"])
+def test_overflowing_stringency_slot_rates_are_zero(mode):
+    # the stringency times the budget overflows while the gains' products do
+    # not: each slot rate, log2 of a ratio that reads 0.0, is below zero
+    res = tdma_maxmin(ChannelRealization((1.0, 2.0), 1e300), 0.3, 1e10, mode)
+    assert res.rate == 0.0
+    assert res.time.fractions == (0.5, 0.5)
+    assert tdma_user_rate(1.0, 1e300, 0.3, 1e10, 0.5) == 0.0
 
 
 def test_user_rate_clips_and_scales():
@@ -159,6 +170,16 @@ def test_compare_accepts_bisection_within_its_tolerance():
 def test_compare_raises_when_infeasible():
     with pytest.raises(ValueError):
         compare_maxmin(ChannelRealization((0.5, 10.0), 1.0), EPS_E1, 1.0)
+
+
+def test_compare_raises_when_optimal_tdma_has_no_rate():
+    # far below the noise floor every slot rate rounds to 0, while the closed
+    # form still reads a positive rate: the ratio has no value
+    channel = ChannelRealization((10.0**0.08, 10.0**1.06), 10.0**-1.5)
+    with pytest.raises(ValueError, match="^optimal-time TDMA has no positive rate at this budget"):
+        compare_maxmin(channel, 0.3678794, 10.0**-17.3)
+    assert solve_maxmin_two_user(channel, 0.3678794, 10.0**-17.3).rate > 0.0
+    assert tdma_maxmin(channel, 0.3678794, 10.0**-17.3, "optimal_time").rate == 0.0
 
 
 def _outcome(call):

@@ -23,7 +23,7 @@ from secnoma import (
 )
 from secnoma import _draw, _rows, maxmin
 from secnoma._draw import _gains_from_uniforms, _trial_uniforms
-from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _mean_stderr
+from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _maxmin_rows, _mean_stderr
 from secnoma.maxmin import _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
@@ -396,3 +396,51 @@ def test_route_errors_match_lockstep():
     assert str(error).startswith("tolerance finer than the float spacing")
     overflow = [stalls, (np.array([[1e307, 2e307]]), phi)]
     assert isinstance(_same_error(_routes(overflow, 100.0, 1e-17)[0]), OverflowError)
+
+
+def _padded_rows(rng, rows, weakest, strongest=None):
+    """(rows, 4) gains of K = 1..4 users each, ascending in the last columns
+    with +inf padding to their left, the weakest gain of row i weakest[i];
+    strongest, if given, replaces the last gain of every row with K > 1."""
+    gains = np.full((rows, 4), np.inf)
+    for i, num in enumerate(rng.integers(1, 5, rows)):
+        row = np.sort(weakest[i] * 10.0 ** rng.uniform(0.0, 3.0, num))
+        row[0] = weakest[i]
+        if strongest is not None and num > 1:
+            row[-1] = strongest
+        gains[i, 4 - num :] = row
+    return gains
+
+
+def test_tdma_rows_equal_tdma_maxmin_on_edge_rows():
+    # the lockstep's TDMA rates on padded rows whose slot rates sit at the
+    # ends of the float range, against the public solver on each row's users
+    rng = np.random.default_rng(31)
+    rows = 2 * _rows._SCALAR_ROWS
+    weakest = 10.0 ** rng.uniform(0.3, 0.6, rows)
+    eps = 0.3
+    cases = [
+        # 1 + g p and 1 + phi p round alike for most weakest users: a zero
+        # slot rate, while the bisection still finds a positive rate
+        (_padded_rows(rng, rows, weakest), weakest * (1.0 - 1e-3) / math.log(1.0 / eps), 1e-15, 1e-20),
+        # a stronger user's gain times the budget overflows: its slot rate is +inf
+        (_padded_rows(rng, rows, weakest, 1e201), weakest * 0.5 / math.log(1.0 / eps), 1e110, 1e-10),
+    ]
+    optimal = []
+    for gains, eaves, p, tol in cases:
+        padding = np.isinf(gains[:, 0])
+        assert padding.any() and not padding.all()
+        phi = np.array([_stringency(e, eps) for e in eaves.tolist()])
+        rates = _maxmin_rows(gains, phi, p, tol)
+        want = np.zeros((2, rows))
+        for i, row in enumerate(gains.tolist()):
+            channel = ChannelRealization(tuple(g for g in row if g < math.inf), eaves[i])
+            for j, mode in enumerate(("optimal_time", "equal_time")):
+                want[j, i] = tdma_maxmin(channel, eps, p, mode).rate
+        assert rates[1:].tobytes() == want.tobytes()
+        assert (rates[0] > 0.0).all()
+        optimal.append(rates[1])
+    # both edges are reached: zero slot rates, and users that take no time
+    assert 0 < np.count_nonzero(optimal[0] == 0.0) < rows
+    overflowing = cases[1][0][:, -1] == 1e201  # 1e201 * 1e110 is +inf
+    assert overflowing.any() and (optimal[1][overflowing] > 0.0).all()
