@@ -4,8 +4,11 @@
 position or keyword, with the defaults as written, then `__post_init__`; a
 `Name(field=value, ...)` repr; `==` only between instances of the same class,
 by the field tuple, and the hash of that tuple; `__match_args__`; and an
-AttributeError on assigning or deleting an attribute. Pickling and `copy`
-go through the instance `__dict__`. The four methods come from one `exec`
+AttributeError on assigning or deleting an attribute. A class whose fields
+have no defaults is rebuilt with `__slots__` naming its fields, so its
+instances carry no `__dict__`. Pickling and `copy` reduce an instance to
+its class and field tuple and rebuild it through `__init__`, so
+`__post_init__` checks every copy. The five methods come from one `exec`
 per class. The standard library's frozen-class decorator compiles six, one
 exec each, and imports `inspect`: about 20 ms of every CLI process.
 """
@@ -30,6 +33,13 @@ def _no_delete(self, name):
 
 def record(cls):
     names = tuple(cls.__annotations__)
+    # a class with defaults keeps its dict: its defaults stay readable as
+    # class attributes (`SweepSpec.trials`), and a slot cannot share a name
+    # with a class attribute
+    if not any(name in cls.__dict__ for name in names):
+        attrs = {key: value for key, value in cls.__dict__.items() if key not in ("__dict__", "__weakref__")}
+        attrs.update(__slots__=names, __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, attrs)
     namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_factory": factory}
     params, body = [], []
     for name in names:
@@ -58,10 +68,11 @@ def record(cls):
         "def __eq__(self, other):\n"
         f"  if other.__class__ is self.__class__:\n    return ({own}) == ({other})\n"
         "  return NotImplemented\n"
-        f"def __hash__(self):\n  return hash(({own}))\n",
+        f"def __hash__(self):\n  return hash(({own}))\n"
+        f"def __reduce__(self):\n  return self.__class__, ({own})\n",
         namespace,
     )
-    for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+    for method in ("__init__", "__repr__", "__eq__", "__hash__", "__reduce__"):
         function = namespace[method]
         function.__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, function)

@@ -18,7 +18,6 @@ from .channel import sample_trial_gains, trial_seeds
 from .maxmin import DEFAULT_TOL, MaxMinSolution, optimal_power_ratio_user1, solve_maxmin_bisection
 from .power_min import PowerMinSolution, solve_min_power
 from .secrecy import SecrecyRequirement, _stringency
-from .tdma import TdmaMinPower, tdma_maxmin, tdma_min_power
 
 CSV_HEADER = ("x", "scheme", "metric", "value", "stderr", "feasible_frac", "trials", "seed")
 
@@ -151,6 +150,10 @@ def _fixed_row(spec, x, scheme, metric, value, ok):
 
 
 def _run_power_vs_q(spec):
+    # imported here and in _run_rate_vs_p, the only runners that call tdma:
+    # the power split and the fading sweeps never compile it
+    from .tdma import TdmaMinPower, tdma_min_power
+
     channel = _fixed_channel(spec.fixed)
     eps = spec.fixed["eps"]
     rows = []
@@ -166,6 +169,8 @@ def _run_power_vs_q(spec):
 
 
 def _run_rate_vs_p(spec):
+    from .tdma import tdma_maxmin
+
     channel = _fixed_channel(spec.fixed)
     eps = spec.fixed["eps"]
     tol = spec.fixed.get("tol", DEFAULT_TOL)

@@ -1,6 +1,6 @@
 """Independent oracles for the test suite: an exhaustive grid search for
-the minimum-power design, a 60-digit max-min rate and a Monte Carlo estimate
-of the secrecy outage.
+the minimum-power design, the 60-digit minimum-power design and max-min
+rate, and a Monte Carlo estimate of the secrecy outage.
 
 Only tests call them, and they reuse none of the package's arithmetic, so
 the closed forms and the recursion are checked against code of their own.
@@ -113,6 +113,54 @@ def verify_optimality_bruteforce(
     return (grid_total - solution.total_power_mw) / solution.total_power_mw
 
 
+def _recursion_60(g, floors, phi, rho, budget):
+    """The backward power recursion at the context's precision on gains g,
+    strongest first: the strongest user sees no interference, and each
+    weaker one sees the total power s of the users decoded after it. Returns
+    the powers and denominators of the users that fit, strongest first; it
+    stops at the first user whose denominator is not above its floor, or
+    whose power takes the total past budget."""
+    rho_m1, phi_rho = rho - 1, phi * rho
+    phi_rho_m1 = phi * rho_m1
+    s = Decimal(0)
+    powers, dens = [], []
+    for gain, floor in zip(g, floors):
+        den = gain * (1 - phi_rho_m1 * s) - phi_rho
+        if not den > floor:
+            break
+        power = rho_m1 * (1 + phi * s) * (1 + gain * s) / den
+        s += power
+        if s > budget:  # every power is positive
+            break
+        powers.append(power)
+        dens.append(den)
+    return powers, dens
+
+
+def _exact(gains, phi):
+    """The gains strongest first and phi as 60-digit decimals, taken
+    exactly, with each user's floor: DENOM_TOL times its gain, the
+    package's stated feasibility rule."""
+    g = [Decimal(x) for x in reversed(gains)]
+    return g, [Decimal(DENOM_TOL) * gain for gain in g], Decimal(phi)
+
+
+def min_power_reference(gains, phi: float, rho: float):
+    """The minimum-power design of ascending gains at stringency phi and
+    rho = 2**q, to about 60 digits, on the floats as given: (powers,
+    margins), each weakest first, where a user's margin is its
+    denominator over its gain; or the 1-based index of the first user,
+    from the strongest down, whose denominator is not above DENOM_TOL
+    times its gain."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, floors, phi = _exact(gains, phi)
+        powers, dens = _recursion_60(g, floors, phi, Decimal(rho), Decimal("Infinity"))
+        if len(powers) < len(g):
+            return len(g) - len(powers)
+        return powers[::-1], [den / gain for den, gain in zip(dens[::-1], g[::-1])]
+
+
 def maxmin_rate_reference(gains, phi: float, budget: float, steps: int = 200) -> Decimal:
     """The max-min common rate of ascending gains at stringency phi and a
     power budget, to about 60 digits: a bisection of `steps` halvings on the
@@ -124,24 +172,11 @@ def maxmin_rate_reference(gains, phi: float, budget: float, steps: int = 200) ->
     cost."""
     with localcontext() as ctx:
         ctx.prec = 60
-        g = [Decimal(x) for x in reversed(gains)]
-        phi, budget = Decimal(phi), Decimal(budget)
-        floors = [Decimal(DENOM_TOL) * gain for gain in g]
+        g, floors, phi = _exact(gains, phi)
+        budget = Decimal(budget)
 
         def fits(rho):
-            # the strongest user sees no interference; each weaker one sees
-            # the total power s of the users decoded after it
-            rho_m1, phi_rho = rho - 1, phi * rho
-            phi_rho_m1 = phi * rho_m1
-            s = Decimal(0)
-            for gain, floor in zip(g, floors):
-                den = gain * (1 - phi_rho_m1 * s) - phi_rho
-                if not den > floor:
-                    return False
-                s += rho_m1 * (1 + phi * s) * (1 + gain * s) / den
-                if s > budget:  # every power is positive
-                    return False
-            return True
+            return len(_recursion_60(g, floors, phi, rho, budget)[0]) == len(g)
 
         # (q, 2**q) at each bound
         lo, rho_lo = Decimal(0), Decimal(1)

@@ -610,10 +610,12 @@ def test_array_calls_import_numpy(tmp_path):
 
 # each call imports its handler's solver modules and nothing else; the
 # channel (and its lazy numpy) comes with the CLI itself. The fading draw
-# (`_draw`) loads only where a call samples gains, and the row solvers
-# (`_rows`) only in a fading sweep.
+# (`_draw`) loads only where a call samples gains, the row solvers (`_rows`)
+# only in a fading sweep, and `tdma` only in the two sweeps that compare
+# against it.
 _CLI_MODULES = ["secnoma", "secnoma._lazy", "secnoma._record", "secnoma.channel", "secnoma.cli"]
-_SWEEP_MODULES = ["experiments", "maxmin", "power_min", "secrecy", "tdma"]
+_SWEEP_MODULES = ["experiments", "maxmin", "power_min", "secrecy"]
+_TDMA_KINDS = ("power_vs_Q", "rate_vs_P")
 _FADING_SPECS = ("avg_rate_vs_eps", "gain_vs_users")
 _SOLVER_MODULES = {
     "help": [],
@@ -621,7 +623,10 @@ _SOLVER_MODULES = {
     "max-min-rate": ["maxmin", "power_min", "secrecy"],
     "compare-oma": ["maxmin", "power_min", "secrecy", "tdma"],
     "max-min-rate-geometry": ["_draw", "maxmin", "power_min", "secrecy"],
-    **{f"sweep-{path.stem}": _SWEEP_MODULES for path in _FIXED_SPECS},
+    **{
+        f"sweep-{path.stem}": _SWEEP_MODULES + ["tdma"] * (secnoma.cli._read_config(path)["kind"] in _TDMA_KINDS)
+        for path in _FIXED_SPECS
+    },
     **{f"sweep-{name}": ["_draw", "_rows", *_SWEEP_MODULES] for name in _FADING_SPECS},
 }
 _PACKAGE_REPORT = """\

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import secnoma
+from secnoma._record import factory, record
 
 PUBLIC = [
     "AggregateResult", "ChannelRealization", "InfeasibleReason", "InfeasibleVerdict", "MaxMinComparison",
@@ -157,6 +158,115 @@ def test_records_construct_as_written():
     # equality needs the same class, not equal fields
     assert secnoma.PowerAllocation((1.0,)) != secnoma.TimeAllocation((1.0,))
     assert secnoma.RatePair(1, 1) == secnoma.RatePair(1.0, 1.0)
+
+
+def _record_samples():
+    """An instance of every public record type: the repr table's values,
+    what a worked two-user instance's designs return, and every record
+    these hold in a field."""
+    channel = secnoma.ChannelRealization((5.0, 10.0), 1.0)
+    found, todo = [], [
+        *(make() for make in _REPRS.values()),
+        channel,
+        secnoma.NetworkGeometry((50.0, 60.0), 80.0, 4.0, 1e-7, 1e-7),
+        secnoma.SecrecyRequirement(1.0, 0.3),
+        secnoma.compare_maxmin(channel, 0.3, 1.0),
+        secnoma.solve_maxmin_bisection(channel, 0.3, 1.0),
+        secnoma.tdma_min_power(channel, 1.0, 0.3),
+        secnoma.noma_rate_region_boundary(channel, 0.3, 1.0, samples=5),
+    ]
+    while todo:
+        value = todo.pop()
+        if hasattr(type(value), "__match_args__"):
+            found.append(value)
+            fields = [getattr(value, name) for name in value.__match_args__]
+            todo += [item for field in fields for item in (field if type(field) is tuple else (field,))]
+    return found
+
+
+def test_records_store_their_fields_in_slots():
+    samples = _record_samples()
+    types = {type(value) for value in samples}
+    assert sorted(cls.__name__ for cls in types) == [
+        name for name in PUBLIC if hasattr(getattr(secnoma, name), "__match_args__")
+    ]
+    for value in samples:
+        cls, fields = type(value), tuple(getattr(value, name) for name in value.__match_args__)
+        # pickle and copy rebuild an instance from this, through __init__
+        assert value.__reduce__() == (cls, fields)
+        if cls is secnoma.SweepSpec:
+            # the one record with defaults: they stay class attributes, so
+            # its instances keep a dict
+            assert "__slots__" not in vars(cls) and (cls.trials, cls.seed) == (1, 0)
+            assert vars(value) == dict(zip(cls.__match_args__, fields))
+        else:
+            assert cls.__slots__ == cls.__match_args__
+            assert not hasattr(value, "__dict__")
+
+
+class _Unchecked:
+    """Pickles as RatePair(1.0, 2.0), which __post_init__ rejects."""
+
+    def __reduce__(self):
+        return secnoma.RatePair, (1.0, 2.0)
+
+
+def test_unpickling_runs_the_constructor_checks():
+    payload = pickle.dumps(_Unchecked())
+    with pytest.raises(ValueError, match="need 0 <= confidential rate <= codeword rate"):
+        pickle.loads(payload)
+
+
+@record
+class _Pair:
+    """A stand-in record with no defaults."""
+
+    left: int
+    right: tuple
+
+    def __post_init__(self):
+        if self.left < 0:
+            raise ValueError("left must be nonnegative")
+
+    def total(self):
+        return self.left + sum(self.right)
+
+
+@record
+class _Defaults:
+    """A stand-in record with defaults."""
+
+    name: str
+    extra: dict = factory(dict)
+    count: int = 2
+
+
+def test_record_on_stand_in_classes(monkeypatch):
+    # the decorator alone, on classes of this module: slots where no field
+    # has a default, and pickle, copy and deepcopy through the constructor
+    pair = _Pair(1, (2, 3))
+    assert repr(pair) == "_Pair(left=1, right=(2, 3))" and pair.total() == 6
+    assert _Pair.__slots__ == _Pair.__match_args__ == ("left", "right")
+    assert not hasattr(pair, "__dict__") and pair.__reduce__() == (_Pair, (1, (2, 3)))
+    checked = []
+    monkeypatch.setattr(_Pair, "__post_init__", lambda self: checked.append(self.left))
+    for clone in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+        assert type(clone) is _Pair and clone == pair and clone is not pair
+    assert checked == [1, 1, 1]
+    for name in ("left", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(pair, name, 2)
+    spec = _Defaults("a")
+    assert (_Defaults.count, vars(spec)) == (2, {"name": "a", "extra": {}, "count": 2})
+    assert spec.__reduce__() == (_Defaults, ("a", {}, 2)) and pickle.loads(pickle.dumps(spec)) == spec
+
+    @record
+    class Local:
+        """A record made inside a function keeps its qualified name."""
+
+        value: float
+
+    assert repr(Local(1.0)) == "test_record_on_stand_in_classes.<locals>.Local(value=1.0)"
 
 
 @pytest.mark.parametrize("name", [n for n in PUBLIC if n[0].isupper() and n != "InfeasibleReason"])
