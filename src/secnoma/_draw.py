@@ -1,9 +1,9 @@
 """The fading draw: numpy's SeedSequence and Philox4x64-10 (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) in whole-array
-arithmetic, so every trial's stream is keyed and drawn at once: row i of
-`_trial_uniforms` equals `Generator(Philox(SeedSequence(seeds[i]))).random(K)`
-bit for bit. Philox is counter-based, so distinct keys give independent,
-reproducible streams. Only the fading paths load this module.
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), the package's only
+copy of either, so numpy's random module never loads. Every trial is keyed
+and drawn at once in whole-array arithmetic: row i of `_trial_uniforms` is
+`Generator(Philox(SeedSequence(seeds[i]))).random(K)` bit for bit. Philox
+is counter-based, so distinct keys give independent, reproducible streams.
 """
 import numbers
 
@@ -35,57 +35,69 @@ def _seed_array(seeds):
     return np.array(flat, dtype=np.uint64)
 
 
-def _hash_constants(init, mult, num):
-    """The first `num` hash constants of a SeedSequence pass, init * mult**i
-    mod 2**32: they step the same way whatever the data."""
-    const = np.full(num, mult, dtype=np.uint32)
-    const[0] = init
-    return np.multiply.accumulate(const, out=const)
+def _pool(entropy):
+    """SeedSequence's pool of its 32-bit entropy words, least significant
+    first: Python ints or uint32 arrays of one shape. The masks keep ints to
+    32 bits; on uint32 arrays they change nothing."""
+    # a missing word hashes as 0, in the entropy's own type
+    const, words = _POOL_HASH[0], [*entropy, *[0 * entropy[0]] * (4 - len(entropy))]
 
+    def hashmix(word):
+        # the hash constant steps once per hash, whatever the data
+        nonlocal const
+        value = word ^ const
+        const = const * _POOL_HASH[1] & _MASK32
+        value *= const
+        value &= _MASK32
+        value ^= value >> 16
+        return value
 
-def _hashmix(words, xor, mul, scratch=None):
-    """SeedSequence's hashmix, in place: each word xor its hash constant,
-    times the next constant, xor its own high half (shifted into `scratch`
-    if given)."""
-    words ^= xor
-    words *= mul
-    words ^= np.right_shift(words, 16, out=scratch)
-    return words
+    pool = [hashmix(word) for word in words[:4]]
+    # each pool word then mixes into every other; each later word into all four
+    for src in range(len(words)):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src] if src < 4 else words[src]))
+    return pool
 
 
 def _mix(x, y):
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> 16)
+    result = x * _MIX_L
+    result -= y * _MIX_R
+    result &= _MASK32
+    result ^= result >> 16
+    return result
 
 
 def _generate_state(words):
     """SeedSequence.generate_state(n, uint64) from uint32 `words`, the pool
-    cycled to 2n words along the last axis; hashed in place."""
-    const = _hash_constants(*_STATE_HASH, words.shape[-1] + 1)
+    cycled to 2n words along the last axis, hashed in place: each word xor
+    its hash constant, times the next constant, xor its own high half."""
+    const = np.full(words.shape[-1] + 1, _STATE_HASH[1], dtype=np.uint32)
+    const[0] = _STATE_HASH[0]
+    np.multiply.accumulate(const, out=const)
+    words ^= const[:-1]
+    words *= const[1:]
     # one row of words (`trial_seeds`) shifts into its spent constants, so
     # its peak stays at two buffers of its size
-    _hashmix(words, const[:-1], const[1:], scratch=const[:-1] if words.ndim == 1 else None)
+    words ^= np.right_shift(words, 16, out=const[:-1] if words.ndim == 1 else None)
     # pairs of words assembled little-endian, as numpy does on any platform
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+def _trial_seeds(seed, trials):
+    """`SeedSequence(seed).generate_state(trials, uint64)` for Python ints
+    seed, trials >= 0: the pool of the seed's words, cycled to 2 * trials."""
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length() or 1, 32)]
+    pool = np.array(_pool(words), dtype=np.uint32)
+    return _generate_state(np.tile(pool, -(-trials // 2))[: 2 * trials])
+
+
 def _philox_keys(seeds):
     """(2, N, 1) Philox keys: `SeedSequence(seeds[i]).generate_state(2, uint64)`."""
-    low = (seeds & _MASK32).astype(np.uint32)
-    # a seed below 2**32 is one entropy word, but the pool hashes a missing
-    # word as 0, so every seed is the pair (low, high) padded with zeros
-    pool = [low, (seeds >> 32).astype(np.uint32), np.zeros_like(low), np.zeros_like(low)]
-    # the pool pass steps its hash constant once per hash: the four entropy
-    # words, then each source word once for every other word
-    const = _hash_constants(*_POOL_HASH, 17)
-    for step, word in enumerate(pool):
-        _hashmix(word, const[step], const[step + 1])
-    step = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src].copy(), const[step], const[step + 1]))
-                step += 1
+    # a seed below 2**32 is one entropy word, but a missing word hashes as 0,
+    # so every seed can be its (low, high) pair; the cast keeps the low bits
+    pool = _pool([seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)])
     return _generate_state(np.stack(pool, axis=1)).T[:, :, None]
 
 

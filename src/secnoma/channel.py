@@ -143,9 +143,8 @@ def _require_integer(name, value):
 def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:
     """Sorted (N, K) gain matrix, row i drawn from its own stream keyed by seeds[i].
 
-    Row i is drawn from `Philox(SeedSequence(seeds[i]))`, numpy's stream, and
-    equals `sample_realization(geometry, seeds[i]).user_gains` bit for bit.
-    Seeds must be integers in [0, 2**64).
+    Row i is drawn from `Philox(SeedSequence(seeds[i]))`, numpy's stream;
+    seeds must be integers in [0, 2**64).
     """
     from ._draw import _gains_from_uniforms, _seed_array, _trial_uniforms
 
@@ -155,16 +154,11 @@ def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:
 def sample_realization(geometry: NetworkGeometry, seed: int) -> ChannelRealization:
     """Draw one Rayleigh realization for the given geometry.
 
-    Identical (geometry, seed) pairs reproduce bit-identical realizations,
-    equal to row i of `sample_trial_gains` when seed is seeds[i]. One draw
-    goes through numpy's own generator: the array kernel's fixed cost per
-    call is far above one stream's.
+    Identical (geometry, seed) pairs reproduce bit-identical realizations:
+    row 0 of `sample_trial_gains(geometry, [seed])`. Each call pays the array
+    kernel's fixed cost, so draw many seeds at once with `sample_trial_gains`.
     """
-    from ._draw import _gains_from_uniforms, _seed_array
-
-    key = np.random.SeedSequence(int(_seed_array([seed])[0]))
-    u = np.random.Generator(np.random.Philox(key)).random((1, geometry.num_users))
-    gains = _gains_from_uniforms(geometry, u)[0]
+    gains = sample_trial_gains(geometry, [seed])[0]
     return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
 
 
@@ -173,16 +167,13 @@ def trial_seeds(seed: int, trials: int) -> np.ndarray:
 
     The mapping is deterministic in (seed, trials prefix): extending the batch
     keeps earlier sub-seeds unchanged, so reductions in trial-index order are
-    stable however the trials are scheduled. The sub-seeds are
-    `SeedSequence(seed).generate_state(trials, uint64)` bit for bit, hashed
-    from the root's pool, cycled to two words a trial, as whole arrays.
+    stable however the trials are scheduled. The sub-seeds of a root >= 0
+    are `SeedSequence(seed).generate_state(trials, uint64)` bit for bit.
     """
-    from ._draw import _generate_state
+    from ._draw import _trial_seeds
 
-    _require_integer("trials", trials)
-    pool = np.random.SeedSequence(int(seed)).pool
-    size = 2 * int(trials)
-    if size < 0:
-        raise ValueError("trials must be nonnegative")
-    words = np.tile(pool, -(-size // pool.size))[:size]
-    return _generate_state(words)
+    for name, value in (("seed", seed), ("trials", trials)):
+        _require_integer(name, value)
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    return _trial_seeds(int(seed), int(trials))

@@ -10,7 +10,7 @@ import sys
 
 # every handler needs the channel; each imports its own solver modules, so a
 # call loads only the modules it runs
-from .channel import _GEOMETRY_KEYS, ChannelRealization, _geometry, db_to_linear, dbm_to_mw, mw_to_dbm, sample_trial_gains
+from .channel import _GEOMETRY_KEYS, ChannelRealization, _geometry, db_to_linear, dbm_to_mw, mw_to_dbm, sample_realization
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,10 +53,7 @@ def _channel_from_args(args, parser) -> ChannelRealization:
         parser.error("provide either --gains-db or --num-users/--d-user/--d-eave")
     fixed = {key: value for key, value in vars(args).items() if key in _GEOMETRY_KEYS and value is not None}
     geometry = _geometry(fixed, args.num_users)
-    # the array kernel: equal to sample_realization's draw bit for bit, and
-    # it needs no numpy.random
-    gains = sample_trial_gains(geometry, [args.seed])[0]
-    return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
+    return sample_realization(geometry, args.seed)
 
 
 def _print_json(payload):

@@ -1,9 +1,11 @@
 """Independent oracles for the test suite: an exhaustive grid search for
 the minimum-power design, the 60-digit minimum-power design and max-min
-rate, and a Monte Carlo estimate of the secrecy outage.
+rate, a Monte Carlo estimate of the secrecy outage, and the fading draw
+through numpy's own generator.
 
 Only tests call them, and they reuse none of the package's arithmetic, so
-the closed forms and the recursion are checked against code of their own.
+the closed forms, the recursion and the draw are checked against code of
+their own.
 """
 from decimal import Decimal, localcontext
 
@@ -233,3 +235,11 @@ def empirical_outage(
         sinr = ge * p_k / (1.0 + ge * s_next)
         hits += int(np.count_nonzero(sinr > threshold))
     return hits / trials
+
+
+def numpy_gains(geometry, seed):
+    """Sorted normalized gains of one draw, from the documented stream built
+    by numpy itself: one Philox keyed by SeedSequence(seed)."""
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))).random(geometry.num_users)
+    scale = np.asarray(geometry.distances_user) ** (-geometry.path_loss_exponent)
+    return np.sort(scale * (-1.0 * np.log1p(-u)) / geometry.noise_user_mw)

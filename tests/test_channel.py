@@ -133,12 +133,17 @@ def test_trial_seeds_prefix_stable():
     assert not np.array_equal(trial_seeds(42, 5), trial_seeds(43, 5))
 
 
-# one to five pool words of entropy, at both ends of the 32- and 64-bit ranges
-ROOT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5]
+# one to five pool words of entropy, at both ends of the 32- and 64-bit
+# ranges, and eight: numpy mixes each word past the fourth into the pool, so
+# that pass runs once at five words and four times at eight
+ROOT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 5, 2**255 + 12345]
 
 
 @pytest.mark.parametrize("seed", ROOT_SEEDS)
 def test_trial_seeds_equal_numpy_generate_state(seed):
+    # the root's pool, from its 32-bit words as Python ints
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length() or 1, 32)]
+    assert _draw._pool(words) == np.random.SeedSequence(seed).pool.tolist()
     # odd word counts and one past a draw block: the pool is cycled four
     # words at a time and sliced to two words a trial
     for trials in (0, 1, 2, 3, 5, _draw._DRAW_BLOCK + 3):
@@ -149,8 +154,13 @@ def test_trial_seeds_equal_numpy_generate_state(seed):
 
 
 def test_trial_seeds_reject_a_negative_root():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
         trial_seeds(-1, 3)
+    # a float root was truncated, and a bool or a string taken as a root
+    for seed in (3.7, True, "5"):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, not {seed!r}$"):
+            trial_seeds(seed, 2)
+    assert np.array_equal(trial_seeds(np.uint64(2**64 - 1), 3), trial_seeds(2**64 - 1, 3))
 
 
 def test_trial_seeds_reject_a_fractional_or_bool_count():

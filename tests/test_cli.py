@@ -19,11 +19,12 @@ from secnoma import (
     PowerAllocation,
     SweepSpec,
     dbm_to_mw,
-    sample_realization,
     secrecy_outage_closed_form,
 )
 from secnoma._lazy import lazy_module
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
+
+from oracles import numpy_gains
 
 # dB encodings of the (5, 10) worked instance with unit eavesdropper gain
 GAINS_DB = "6.989700043360187,10"
@@ -496,13 +497,19 @@ def test_geometry_path_is_seeded(tmp_path):
     assert json.loads(out1)["gains"] != json.loads(out3)["gains"]
 
 
+def _numpy_realization(geometry, seed):
+    # numpy's own generator: the CLI draws through sample_realization, so a
+    # check against that would compare the draw with itself
+    return ChannelRealization(tuple(numpy_gains(geometry, seed).tolist()), geometry.eaves_avg_gain())
+
+
 @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
 def test_geometry_path_draws_the_library_realization(seed):
     parser = secnoma.cli.build_parser()
     args = parser.parse_args(["max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
                               "--p-dbm", "20", "--eps", "0.3", "--seed", str(seed)])
     geometry = NetworkGeometry((50.0,) * 3, 80.0, 4.0, dbm_to_mw(-70.0), dbm_to_mw(-70.0))
-    assert secnoma.cli._channel_from_args(args, parser) == sample_realization(geometry, seed)
+    assert secnoma.cli._channel_from_args(args, parser) == _numpy_realization(geometry, seed)
 
 
 _GEOMETRY_ARGS = ["min-power", "--num-users", "3", "--d-user", "40", "--d-eave", "90",
@@ -522,7 +529,7 @@ def test_geometry_options_reach_the_draw(options, alpha, noise_dbm, eaves_noise_
     parser = secnoma.cli.build_parser()
     args = parser.parse_args(_GEOMETRY_ARGS + options)
     geometry = NetworkGeometry((40.0,) * 3, 90.0, alpha, dbm_to_mw(noise_dbm), dbm_to_mw(eaves_noise_dbm))
-    assert secnoma.cli._channel_from_args(args, parser) == sample_realization(geometry, 7)
+    assert secnoma.cli._channel_from_args(args, parser) == _numpy_realization(geometry, 7)
 
 
 def test_min_power_matches_oracle_after_db_round_trip():
@@ -601,11 +608,24 @@ def test_array_calls_import_numpy(tmp_path):
                 "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
     loaded, _ = modules_after(tmp_path, _RUN_CLI, *geometry)
     assert "numpy._core" in loaded
-    assert "numpy.random" not in loaded  # one draw through the array kernel
-    fading = ("sweep", "--config", str(_SPECS_DIR / "avg_rate_vs_eps.spec"))
-    assert "numpy._core" in modules_after(tmp_path, _RUN_CLI, *fading)[0]
-    assert (tmp_path / "avg_rate_vs_eps.csv").exists()
+    # the draw and the root's sub-seeds are the package's own SeedSequence
+    # and Philox: no call loads numpy.random
+    assert "numpy.random" not in loaded
+    for name in ("avg_rate_vs_eps", "gain_vs_users"):
+        loaded, _ = modules_after(tmp_path, _RUN_CLI, "sweep", "--config", str(_SPECS_DIR / f"{name}.spec"))
+        assert "numpy._core" in loaded and "numpy.random" not in loaded
+        assert (tmp_path / f"{name}.csv").exists()
     assert len(_FIXED_SPECS) == 4
+
+
+def test_library_draw_and_sub_seeds_load_no_numpy_random(tmp_path):
+    code = (
+        "from secnoma import NetworkGeometry, sample_realization, trial_seeds\n"
+        "sample_realization(NetworkGeometry((50.0,) * 3, 80.0, 4.0, 1e-7, 1e-7), 11)\n"
+        "trial_seeds(2**255 + 12345, 5)\n"
+    )
+    loaded, _ = modules_after(tmp_path, code)
+    assert "numpy._core" in loaded and "numpy.random" not in loaded
 
 
 # each call imports its handler's solver modules and nothing else; the

@@ -28,6 +28,8 @@ from secnoma.maxmin import _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
 
+from oracles import numpy_gains
+
 USER_COUNTS = range(1, 9)
 
 
@@ -46,12 +48,13 @@ def _seeds(root, trials):
     return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), trial_seeds(root, trials)])
 
 
-def _numpy_gains(geometry, seed):
-    # the documented stream, built by numpy itself: one Philox keyed by
-    # SeedSequence(seed) per trial
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(geometry.num_users)
-    scale = np.asarray(geometry.distances_user) ** (-geometry.path_loss_exponent)
-    return np.sort(scale * (-1.0 * np.log1p(-u)) / geometry.noise_user_mw)
+def test_pool_of_word_arrays_equals_numpy_pool():
+    # each seed's pool, from its (low, high) words as arrays, one per element
+    seeds = _seeds(70, 300)
+    pool = _draw._pool([seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)])
+    want = [np.random.SeedSequence(seed).pool for seed in seeds.tolist()]
+    assert all(word.dtype == np.uint32 for word in pool)
+    assert np.array_equal(np.stack(pool, axis=1), want)
 
 
 @pytest.mark.parametrize("num", DRAW_COUNTS)
@@ -61,9 +64,10 @@ def test_trial_gains_rows_equal_single_draws(num):
     gains = sample_trial_gains(geometry, seeds)
     assert gains.shape == (len(seeds), num)
     for row, seed in zip(gains, seeds.tolist()):
-        assert row.tobytes() == _numpy_gains(geometry, seed).tobytes()
-    # the single-instance path draws the same stream through numpy's generator
-    assert sample_realization(geometry, seeds[0]).user_gains == tuple(gains[0].tolist())
+        assert row.tobytes() == numpy_gains(geometry, seed).tobytes()
+    # the single draw, against numpy's generator rather than the kernel it runs
+    for seed in EDGE_SEEDS:
+        assert sample_realization(geometry, seed).user_gains == tuple(numpy_gains(geometry, seed).tolist())
 
 
 def test_trial_gains_follow_trial_order():
