@@ -24,6 +24,7 @@ _BRACKET_OVERFLOW = "the weakest gain times the power budget overflows"
 # nor would a bracket of two adjacent floats that is still tol wide
 _BRACKET_STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
 _TOO_COARSE = "tolerance too coarse to certify a positive rate at this budget"
+_CLOSED_FORM_UNDERFLOW = "the two-user closed form underflows"
 
 
 @record
@@ -217,9 +218,14 @@ def _fits(cols, phi, power_budget_mw, q, pad=None):
 def _seed(gains, phi, power_budget_mw, hi, q):
     """Estimate of the floor at which the budget test switches: log2 of the
     closed-form ceiling for two users, else `_newton`'s. nan if there is none
-    (the ceiling underflows when the gains are near the float range's end)."""
+    (the ceiling underflows, or is undefined, when the gains are near the
+    float range's end: see `_finite_ceiling`)."""
     if len(gains) == 2:
-        ceiling = rate_ceiling_two_user(*gains, phi, power_budget_mw)
+        g1, g2 = gains
+        psi = _psi(g1, g2, phi, power_budget_mw)
+        if psi == 0.0 and g1 == g2:
+            return math.nan
+        ceiling = _ceiling(psi, g1, g2, phi, power_budget_mw)
         return math.log2(ceiling) if ceiling > 0.0 else math.nan
     return _newton(gains, phi, power_budget_mw, hi, q)
 
@@ -327,7 +333,7 @@ def solve_maxmin_two_user(
     # (psi - C) / (2 D) with C = (g1 - phi) + (g2 - phi) + phi p (g2 - g1),
     # times (psi + C) / (psi + C): psi^2 - C^2 = 4 p (g1 - phi) D
     p2 = 2.0 * p * (g1 - phi) / (psi + (g1 - phi) + (g2 - phi) + phi * p * (g2 - g1))
-    rate = math.log2(_ceiling(psi, g1, g2, phi, p))
+    rate = math.log2(_finite_ceiling(psi, g1, g2, phi, p))
     return MaxMinSolution(rate, PowerAllocation((p1, p2)), 0)
 
 
@@ -336,6 +342,14 @@ def _ceiling(psi, g1, g2, phi, p):
     # times (psi + A) / (psi + A): psi^2 - A^2 = 4 (1 + phi p)(1 + g1 p)
     # (g1 - phi)(g2 - phi), so no near-equal terms are subtracted when g2 >> g1
     return 2.0 * (1.0 + g1 * p) * (g2 - phi) / (psi + (1.0 + phi * p) * (g2 - g1))
+
+
+def _finite_ceiling(psi, g1, g2, phi, p):
+    """`_ceiling` for the public closed forms. psi underflows to 0 near the
+    float range's end, and on equal gains that leaves the denominator 0."""
+    if psi == 0.0 and g1 == g2:
+        raise ValueError(_CLOSED_FORM_UNDERFLOW)
+    return _ceiling(psi, g1, g2, phi, p)
 
 
 def rate_ceiling_two_user(g1, g2, phi, p, sqrt=math.sqrt):
@@ -359,8 +373,11 @@ def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, flo
     # + (g2 - g1)^2, times (R + (g2 - g1)) / (R + (g2 - g1)) as in _ceiling
     spread = g2 - g1
     root = math.sqrt(4.0 * g1 * (g1 - phi) * (g2 - phi) / phi + spread * spread)
-    b2 = 2.0 * g1 * (g2 - phi) / (phi * (root + spread))
-    b3 = _ceiling(_finite_psi(g1, g2, phi, p), g1, g2, phi, p)
+    denominator = phi * (root + spread)
+    if denominator == 0.0:
+        raise ValueError(_CLOSED_FORM_UNDERFLOW)
+    b2 = 2.0 * g1 * (g2 - phi) / denominator
+    b3 = _finite_ceiling(_finite_psi(g1, g2, phi, p), g1, g2, phi, p)
     return b1, b2, b3
 
 

@@ -139,14 +139,30 @@ def test_overflowing_input_is_one_line_error(args):
     assert err == "error: an input is too large: the arithmetic overflows\n"
 
 
-@pytest.mark.parametrize("gains_db", ["1100,1110", "1600,1610"])
-def test_overflowing_closed_form_is_one_line_error(gains_db):
+_OVERFLOWS = "error: an input is too large: the arithmetic overflows\n"
+
+
+@pytest.mark.parametrize(
+    "channel, message",
+    [
+        (("--gains-db", "1100,1110", "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3"), _OVERFLOWS),
+        (("--gains-db", "1600,1610", "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3"), _OVERFLOWS),
+        # equal gains near 1e-162, where the discriminant underflows to 0
+        (
+            ("--gains-db=-1620,-1620", "--eaves-db=-1620", "--p-dbm", "1620", "--eps", "0.5"),
+            "error: the two-user closed form underflows\n",
+        ),
+    ],
+    ids=["1100,1110", "1600,1610", "-1620,-1620"],
+)
+def test_overflowing_closed_form_is_one_line_error(channel, message):
     # compare-oma solves two users in closed form, whose discriminant
-    # overflows here; max-min-rate bisects the same channel to a rate
-    rc, out, err = run_cli("compare-oma", "--gains-db", gains_db, "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3")
+    # overflows or underflows here; max-min-rate bisects the same channel to
+    # a rate
+    rc, out, err = run_cli("compare-oma", *channel)
     assert rc == EXIT_USAGE and out == ""
-    assert err == "error: an input is too large: the arithmetic overflows\n"
-    rc, out, _ = run_cli("max-min-rate", "--gains-db", gains_db, "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3")
+    assert err == message
+    rc, out, _ = run_cli("max-min-rate", *channel)
     assert rc == EXIT_OK and "feasible: yes" in out
 
 

@@ -20,7 +20,7 @@ from secnoma import (
     solve_maxmin_two_user,
 )
 from secnoma._rows import _maxmin_rows
-from secnoma.maxmin import rate_ceiling_two_user
+from secnoma.maxmin import DEFAULT_TOL, rate_ceiling_two_user
 
 from oracles import maxmin_rate_reference
 
@@ -226,6 +226,23 @@ def test_closed_forms_raise_where_they_overflow(gain):
     for closed_form in (bound_triple, optimal_power_ratio_user1):
         with pytest.raises(OverflowError, match="closed form overflows"):
             closed_form(gain, 10.0 * gain, 1.0, 1.0)
+
+
+def test_closed_forms_raise_where_the_discriminant_underflows():
+    # equal gains near 1e-162: the discriminant underflows to 0, and so
+    # would the ceiling's denominator; the bisection, seeded by that ceiling,
+    # divided by zero too and now runs unseeded to the rate of every scale
+    channel = ChannelRealization((1e-162, 1e-162), 1e-162)
+    phi = 1e-162 * math.log(2.0)
+    for scale in (1.0, 1e-162):
+        sol = solve_maxmin_bisection(ChannelRealization((scale, scale), scale), 0.5, 1.0 / scale)
+        assert sol.rate == 0.12014630588237196
+    rates = _maxmin_rows(np.array([[1e-162, 1e-162]]), np.array([phi]), 1e162, DEFAULT_TOL)[0]
+    assert rates.tolist() == [0.12014630588237196]
+    with pytest.raises(ValueError, match="^the two-user closed form underflows$"):
+        solve_maxmin_two_user(channel, 0.5, 1e162)
+    with pytest.raises(ValueError, match="^the two-user closed form underflows$"):
+        bound_triple(1e-162, 1e-162, phi, 1e162)
 
 
 @pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])

@@ -250,9 +250,9 @@ def test_record_on_stand_in_classes(monkeypatch):
     assert not hasattr(pair, "__dict__") and pair.__reduce__() == (_Pair, (1, (2, 3)))
     checked = []
     monkeypatch.setattr(_Pair, "__post_init__", lambda self: checked.append(self.left))
-    for clone in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+    for clone in (_Pair(1, (2, 3)), pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
         assert type(clone) is _Pair and clone == pair and clone is not pair
-    assert checked == [1, 1, 1]
+    assert checked == [1, 1, 1, 1]
     for name in ("left", "other"):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(pair, name, 2)
