@@ -61,9 +61,9 @@ def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     seed = np.empty(len(gains))
     if two.any():
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            seed[pick] = np.log2(
-                rate_ceiling_two_user(gains[pick, -2], gains[pick, -1], phi[pick], power_budget_mw, np.sqrt)
-            )
+            # s = p, unlifted (`_gap_scale`): a lift moves only seeds whose bracket is empty
+            p = power_budget_mw
+            seed[pick] = np.log2(rate_ceiling_two_user(gains[pick, -2], gains[pick, -1], phi[pick], p, p, np.sqrt))
     if newton:
         seed[rest] = _newton_rows(gains[rest], phi[rest], pad[rest], power_budget_mw, hi[rest], q[rest])
     return seed

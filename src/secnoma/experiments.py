@@ -54,7 +54,7 @@ class SweepAxis:
         div = self.steps - 1
         step = delta / div
         if step == 0:
-            # a step that underflows: linspace scales the fraction instead
+            # a step that rounds to 0: linspace scales the fraction instead
             points = [i / div * delta + self.start for i in range(self.steps)]
         else:
             points = [i * step + self.start for i in range(self.steps)]

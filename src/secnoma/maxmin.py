@@ -24,7 +24,6 @@ _BRACKET_OVERFLOW = "the weakest gain times the power budget overflows"
 # nor would a bracket of two adjacent floats that is still tol wide
 _BRACKET_STALLED = "tolerance finer than the float spacing of the rate: the bracket stopped shrinking"
 _TOO_COARSE = "tolerance too coarse to certify a positive rate at this budget"
-_CLOSED_FORM_UNDERFLOW = "the two-user closed form underflows"
 
 
 @record
@@ -218,14 +217,9 @@ def _fits(cols, phi, power_budget_mw, q, pad=None):
 def _seed(gains, phi, power_budget_mw, hi, q):
     """Estimate of the floor at which the budget test switches: log2 of the
     closed-form ceiling for two users, else `_newton`'s. nan if there is none
-    (the ceiling underflows, or is undefined, when the gains are near the
-    float range's end: see `_finite_ceiling`)."""
+    (the ceiling reads 0.0 or nan where the closed form overflows)."""
     if len(gains) == 2:
-        g1, g2 = gains
-        psi = _psi(g1, g2, phi, power_budget_mw)
-        if psi == 0.0 and g1 == g2:
-            return math.nan
-        ceiling = _ceiling(psi, g1, g2, phi, power_budget_mw)
+        ceiling = rate_ceiling_two_user(*gains, phi, power_budget_mw, _gap_scale(gains[1], phi, power_budget_mw))
         return math.log2(ceiling) if ceiling > 0.0 else math.nan
     return _newton(gains, phi, power_budget_mw, hi, q)
 
@@ -283,35 +277,53 @@ def _pow2_each(q):
     return np.float_power(2.0, q)
 
 
-def _psi(g1, g2, phi, p, sqrt=math.sqrt):
-    """The square root of the two-user quadratic's discriminant, on floats
-    with math.sqrt or on arrays with np.sqrt. Both are correctly rounded,
-    and the spread is squared by a product, which numpy rounds as Python
-    does (libm's pow(x, 2) need not), so both give the same bits."""
-    spread = g2 - g1
-    return sqrt(
-        (1.0 + phi * p)
-        * (4.0 * (1.0 + g1 * p) * (g1 - phi) * (g2 - phi) + (1.0 + phi * p) * (spread * spread))
-    )
+def _gap_scale(g2, phi, p):
+    """The two-user closed forms depend only on the SNRs g1 p and phi p and on
+    the gaps (g1 - phi) s, (g2 - phi) s and (g2 - g1) s, in whose ratios s
+    cancels. s is p, so that a common scale of the gains and 1/p changes no
+    bit, lifted on floats by the power of two that brings (g2 - phi) s into
+    [1/4, 1) where it is smaller, so that no product of two gaps leaves the
+    float range at small SNRs. A power of two scales exactly, so the lift
+    changes no result where no such product would have. It stops at
+    s < 2**1023."""
+    lift = min(-math.frexp(g2 - phi)[1], 1023) - math.frexp(p)[1]
+    return math.ldexp(p, lift) if lift > 0 else p
 
 
-def _finite_psi(g1, g2, phi, p):
-    """`_psi` for the public closed forms, which would return inf, 0.0 or
-    nan where it overflows."""
-    psi = _psi(g1, g2, phi, p)
+def _psi(g1, g2, phi, p, s, sqrt=math.sqrt):
+    """s times the square root of the two-user quadratic's discriminant, on
+    floats with math.sqrt or on arrays with np.sqrt. Both are correctly
+    rounded, and the spread is squared by a product, which numpy rounds as
+    Python does (libm's pow(x, 2) need not), so both give the same bits."""
+    c = 1.0 + phi * p
+    spread = (g2 - g1) * s
+    return sqrt(c * (4.0 * (1.0 + g1 * p) * ((g1 - phi) * s) * ((g2 - phi) * s) + c * (spread * spread)))
+
+
+def _closed_form(g1, g2, phi, p):
+    """The public closed forms' checked entry: (psi, s) of `_psi` and
+    `_gap_scale`. Raises where psi overflows, which only large SNRs make it
+    do, as inf, 0.0 or nan would come out."""
+    if not (g2 >= g1 > phi > 0.0):
+        raise ValueError("need gains above stringency, ascending")
+    _check_budget(p)
+    s = _gap_scale(g2, phi, p)
+    psi = _psi(g1, g2, phi, p, s)
     if psi == math.inf:
         raise OverflowError("the two-user closed form overflows")
-    return psi
+    return psi, s
 
 
-def _weak_power(psi, g1, g2, phi, p):
-    # (B - psi) / (2 D) with B = (1 + phi p)((g1 - phi) + g1 p (g2 - phi) + S),
-    # S = (1 + g1 p)(g2 - phi) and D = (1 + phi p) g1 g2 - phi^2 (1 + g1 p),
-    # times (B + psi) / (B + psi): B^2 - psi^2 = 4 p (1 + phi p) S D, so no
+def _weak_share(psi, s, g1, g2, phi, p):
+    """The weak user's share of the budget at the two-user optimum; its power
+    is p times this, so that no product with p overflows first."""
+    # (B - psi) / (2 D) with B = (1 + phi p)((g1 - phi) s + g1 p (g2 - phi) s + S),
+    # S = (1 + g1 p)(g2 - phi) s and D = ((1 + phi p) g1 g2 - phi^2 (1 + g1 p)) p s,
+    # times (B + psi) / (B + psi): B^2 - psi^2 = 4 (1 + phi p) S D, so no
     # near-equal terms are subtracted when g1 p is small
     c = 1.0 + phi * p
-    s = (1.0 + g1 * p) * (g2 - phi)
-    return 2.0 * p * c * s / (c * ((g1 - phi) + g1 * p * (g2 - phi) + s) + psi)
+    strong = (1.0 + g1 * p) * ((g2 - phi) * s)
+    return 2.0 * c * strong / (c * ((g1 - phi) * s + g1 * p * ((g2 - phi) * s) + strong) + psi)
 
 
 def solve_maxmin_two_user(
@@ -328,34 +340,27 @@ def solve_maxmin_two_user(
     g1, g2 = channel.user_gains
     phi = _stringency(channel.eaves_avg_gain, eps)
     p = power_budget_mw
-    psi = _finite_psi(g1, g2, phi, p)
-    p1 = _weak_power(psi, g1, g2, phi, p)
-    # (psi - C) / (2 D) with C = (g1 - phi) + (g2 - phi) + phi p (g2 - g1),
-    # times (psi + C) / (psi + C): psi^2 - C^2 = 4 p (g1 - phi) D
-    p2 = 2.0 * p * (g1 - phi) / (psi + (g1 - phi) + (g2 - phi) + phi * p * (g2 - g1))
-    rate = math.log2(_finite_ceiling(psi, g1, g2, phi, p))
+    psi, s = _closed_form(g1, g2, phi, p)
+    p1 = p * _weak_share(psi, s, g1, g2, phi, p)
+    # p (psi - C) / (2 D) with C = (g1 - phi) s + (g2 - phi) s + phi p (g2 - g1) s,
+    # times (psi + C) / (psi + C): psi^2 - C^2 = 4 (g1 - phi) s D
+    gap = (g1 - phi) * s
+    p2 = p * (2.0 * gap / (psi + gap + (g2 - phi) * s + phi * p * ((g2 - g1) * s)))
+    rate = math.log2(_ceiling(psi, s, g1, g2, phi, p))
     return MaxMinSolution(rate, PowerAllocation((p1, p2)), 0)
 
 
-def _ceiling(psi, g1, g2, phi, p):
-    # (psi - A) / (2 (1 + phi p) (g1 - phi)) with A = (1 + phi p)(g2 - g1),
+def _ceiling(psi, s, g1, g2, phi, p):
+    # (psi - A) / (2 (1 + phi p)(g1 - phi) s) with A = (1 + phi p)(g2 - g1) s,
     # times (psi + A) / (psi + A): psi^2 - A^2 = 4 (1 + phi p)(1 + g1 p)
-    # (g1 - phi)(g2 - phi), so no near-equal terms are subtracted when g2 >> g1
-    return 2.0 * (1.0 + g1 * p) * (g2 - phi) / (psi + (1.0 + phi * p) * (g2 - g1))
+    # (g1 - phi)(g2 - phi) s^2, so no near-equal terms are subtracted when g2 >> g1
+    return 2.0 * (1.0 + g1 * p) * ((g2 - phi) * s) / (psi + (1.0 + phi * p) * ((g2 - g1) * s))
 
 
-def _finite_ceiling(psi, g1, g2, phi, p):
-    """`_ceiling` for the public closed forms. psi underflows to 0 near the
-    float range's end, and on equal gains that leaves the denominator 0."""
-    if psi == 0.0 and g1 == g2:
-        raise ValueError(_CLOSED_FORM_UNDERFLOW)
-    return _ceiling(psi, g1, g2, phi, p)
-
-
-def rate_ceiling_two_user(g1, g2, phi, p, sqrt=math.sqrt):
-    """2^rate at the two-user optimum (the budget-limited ceiling b3), on
-    floats, or on arrays with sqrt=np.sqrt."""
-    return _ceiling(_psi(g1, g2, phi, p, sqrt), g1, g2, phi, p)
+def rate_ceiling_two_user(g1, g2, phi, p, s, sqrt=math.sqrt):
+    """2^rate at the two-user optimum (the budget-limited ceiling b3), its
+    gaps scaled by s, on floats, or on arrays with sqrt=np.sqrt."""
+    return _ceiling(_psi(g1, g2, phi, p, s, sqrt), s, g1, g2, phi, p)
 
 
 def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, float, float]:
@@ -365,19 +370,13 @@ def bound_triple(g1: float, g2: float, phi: float, p: float) -> tuple[float, flo
     b2: both outage constraints jointly as the budget grows without limit,
     b3: all constraints plus the finite budget (always the binding one).
     """
-    if not (g2 >= g1 > phi > 0.0):
-        raise ValueError("need gains above stringency, ascending")
-    _check_budget(p)
+    b3 = _ceiling(*_closed_form(g1, g2, phi, p), g1, g2, phi, p)
     b1 = g2 / phi
-    # (R - (g2 - g1)) / (2 (g1 - phi)) with R^2 = 4 g1 (g1 - phi)(g2 - phi) / phi
-    # + (g2 - g1)^2, times (R + (g2 - g1)) / (R + (g2 - g1)) as in _ceiling
-    spread = g2 - g1
-    root = math.sqrt(4.0 * g1 * (g1 - phi) * (g2 - phi) / phi + spread * spread)
-    denominator = phi * (root + spread)
-    if denominator == 0.0:
-        raise ValueError(_CLOSED_FORM_UNDERFLOW)
-    b2 = 2.0 * g1 * (g2 - phi) / denominator
-    b3 = _finite_ceiling(_finite_psi(g1, g2, phi, p), g1, g2, phi, p)
+    # (R - (g2 - g1)) / (2 (g1 - phi)) with R^2 = 4 g1 (g1 - phi)(g2 - phi) / phi + (g2 - g1)^2,
+    # times (R + (g2 - g1)) / (R + (g2 - g1)) as in _ceiling, each term over phi: ratios only
+    spread = (g2 - g1) / phi
+    root = math.sqrt(4.0 * (g1 / phi) * ((g1 - phi) / phi) * ((g2 - phi) / phi) + spread * spread)
+    b2 = 2.0 * (g1 / phi) * ((g2 - phi) / phi) / (root + spread)
     return b1, b2, b3
 
 
@@ -387,7 +386,4 @@ def optimal_power_ratio_user1(g1: float, g2: float, phi: float, p: float) -> flo
     Strictly increasing in phi: a harder secrecy target shifts power toward
     the weak user.
     """
-    if not (g2 >= g1 > phi > 0.0):
-        raise ValueError("need gains above stringency, ascending")
-    _check_budget(p)
-    return _weak_power(_finite_psi(g1, g2, phi, p), g1, g2, phi, p) / p
+    return _weak_share(*_closed_form(g1, g2, phi, p), g1, g2, phi, p)

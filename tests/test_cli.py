@@ -139,31 +139,29 @@ def test_overflowing_input_is_one_line_error(args):
     assert err == "error: an input is too large: the arithmetic overflows\n"
 
 
-_OVERFLOWS = "error: an input is too large: the arithmetic overflows\n"
-
-
 @pytest.mark.parametrize(
-    "channel, message",
-    [
-        (("--gains-db", "1100,1110", "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3"), _OVERFLOWS),
-        (("--gains-db", "1600,1610", "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3"), _OVERFLOWS),
-        # equal gains near 1e-162, where the discriminant underflows to 0
-        (
-            ("--gains-db=-1620,-1620", "--eaves-db=-1620", "--p-dbm", "1620", "--eps", "0.5"),
-            "error: the two-user closed form underflows\n",
-        ),
-    ],
-    ids=["1100,1110", "1600,1610", "-1620,-1620"],
+    "gains_db", ["1100,1110", "1600,1610"], ids=["1100,1110", "1600,1610"]
 )
-def test_overflowing_closed_form_is_one_line_error(channel, message):
+def test_overflowing_closed_form_is_one_line_error(gains_db):
     # compare-oma solves two users in closed form, whose discriminant
-    # overflows or underflows here; max-min-rate bisects the same channel to
-    # a rate
+    # overflows at these SNRs; max-min-rate bisects the same channel to a rate
+    channel = ("--gains-db", gains_db, "--eaves-db", "0", "--p-dbm", "0", "--eps", "0.3")
     rc, out, err = run_cli("compare-oma", *channel)
     assert rc == EXIT_USAGE and out == ""
-    assert err == message
+    assert err == "error: an input is too large: the arithmetic overflows\n"
     rc, out, _ = run_cli("max-min-rate", *channel)
     assert rc == EXIT_OK and "feasible: yes" in out
+
+
+def test_closed_form_answers_at_tiny_gains():
+    # equal gains near 1e-162 at SNR 1: the closed form is taken in SNRs, so
+    # it gives the rate of every scale, as the bisection does
+    channel = ("--gains-db=-1620,-1620", "--eaves-db=-1620", "--p-dbm", "1620", "--eps", "0.5")
+    rc, out, err = run_cli("compare-oma", *channel)
+    assert rc == EXIT_OK and err == ""
+    assert "rate_noma: 0.1201463059\n" in out and "ratio: 1\n" in out
+    rc, out, _ = run_cli("max-min-rate", *channel)
+    assert rc == EXIT_OK and "max_min_rate: 0.1201463059\n" in out
 
 
 def test_overflowing_sweep_is_one_line_error(tmp_path):

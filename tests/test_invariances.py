@@ -4,8 +4,11 @@ Only the products of gains and powers, and the ratio of each gain to the
 stringency, enter the model. Scaling every user gain and the eavesdropper
 gain by c and the budget by 1/c therefore changes no decision; with c a
 power of two every float operation scales exactly, so the solvers must
-agree bit for bit.
+agree bit for bit. The two-user closed forms are written in those SNRs and
+ratios, so they must too.
 """
+import math
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +18,12 @@ from secnoma import (
     PowerMinSolution,
     SecrecyRequirement,
     TdmaMinPower,
+    bound_triple,
+    compare_maxmin,
+    optimal_power_ratio_user1,
     select_users,
     solve_maxmin_bisection,
+    solve_maxmin_two_user,
     solve_min_power,
     tdma_maxmin,
     tdma_min_power,
@@ -26,11 +33,11 @@ from secnoma.maxmin import DEFAULT_TOL
 SHARE_TOL = 1e-13
 
 
-def _maxmin(channel, eps, budget, tol=DEFAULT_TOL):
-    """The bisection's solution, or the type and message of what it raised."""
+def _outcome(solve, *args):
+    """What solve returns, or the type and message of what it raised."""
     try:
-        return solve_maxmin_bisection(channel, eps, budget, tol)
-    except (ValueError, OverflowError) as exc:
+        return solve(*args)
+    except (ValueError, OverflowError, RuntimeError) as exc:
         return type(exc), str(exc)
 
 
@@ -50,12 +57,23 @@ def _designs(gains, eaves, q, eps, budget, factor=1.0):
     channel = ChannelRealization(gains, eaves)
     req = SecrecyRequirement(q, eps)
     selection = select_users(channel, req)
-    designs = (solve_min_power(channel, req), tdma_min_power(channel, q, eps), _maxmin(channel, eps, budget))
+    designs = [
+        solve_min_power(channel, req),
+        tdma_min_power(channel, q, eps),
+        _outcome(solve_maxmin_bisection, channel, eps, budget, DEFAULT_TOL),
+    ]
+    closed_forms = []
+    if len(gains) == 2:
+        designs.append(_outcome(solve_maxmin_two_user, channel, eps, budget))
+        phi = eaves * math.log(1.0 / eps)
+        closed_forms = [_outcome(form, *gains, phi, budget) for form in (bound_triple, optimal_power_ratio_user1)]
     tdma = [tdma_maxmin(channel, eps, budget, mode) for mode in ("equal_time", "optimal_time")]
     return (
-        tuple(_scaled(d, factor) for d in designs),
+        [_scaled(d, factor) for d in designs],
         (selection.selected_users, _scaled(selection.solution, factor)),
         [(t.rate, t.time.fractions) for t in tdma],
+        _outcome(compare_maxmin, channel, eps, budget),
+        closed_forms,
     )
 
 
@@ -78,9 +96,12 @@ def _instances(draw):
 # gains near 1e-12 whose last denominator, about 5e-13, is feasible; it read
 # infeasible when the threshold was absolute
 @example(((5e-9, 1e-8), 1e-9, 0.5, 0.3, 1e4), -14)
-# equal gains near 1e-161, where the two-user discriminant underflows to 0:
-# the bisection's closed-form seed divided by zero
+# equal gains near 1e-161, where the two-user discriminant of the gains
+# themselves underflowed to 0: the bisection's closed-form seed divided by
+# zero, and the closed forms raised
 @example(((1.0, 1.0), 1.0, 1.0, 0.375, 1.0), -534)
+# and where it read 0, the weak user's share came out 1.0, not 0.648
+@example(((1.0, 1.0), 1.0, 1.0, 0.5, 1.0), -538)
 def test_scaling_gains_and_budget_together_changes_nothing(instance, j):
     gains, eaves, q, eps, budget = instance
     c = 2.0**j
@@ -102,7 +123,7 @@ def _weak_share(gains, eaves, eps, budget):
     0.24999975 give shares 9e-12 the wrong way round, and 2.9e-10 the right
     way at tol 1e-12. So the rates here are certified to 1e-13.
     """
-    solution = _maxmin(ChannelRealization(gains, eaves), eps, budget, SHARE_TOL)
+    solution = _outcome(solve_maxmin_bisection, ChannelRealization(gains, eaves), eps, budget, SHARE_TOL)
     if not isinstance(solution, MaxMinSolution):
         return None
     powers = solution.allocation.powers_mw

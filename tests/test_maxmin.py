@@ -160,30 +160,51 @@ def _two_user_reference(g1, g2, phi, p):
         return (psi - c * (g2 - g1)) / (2 * c * (g1 - phi)), p1, p2, p1 / p, b2
 
 
+def _closed_form_errors(instances):
+    """The worst relative errors of b3, p1, p2, beta and b2 against
+    `_two_user_reference` over (g1, g2, phi, p) with g1 > phi, skipping
+    those whose ceiling rounds to 1 or below: no solution carries a rate
+    that is not positive."""
+    worst = [0.0] * 5
+    for g1, g2, phi, p in instances:
+        _, b2, b3 = bound_triple(g1, g2, phi, p)
+        if b3 <= 1.0:
+            continue
+        # the eavesdropper gain is the stringency itself at EPS_E1
+        sol = solve_maxmin_two_user(ChannelRealization((g1, g2), phi), EPS_E1, p)
+        got = (b3, *sol.allocation.powers_mw, optimal_power_ratio_user1(g1, g2, phi, p), b2)
+        for i, (value, exact) in enumerate(zip(got, _two_user_reference(g1, g2, phi, p))):
+            worst[i] = max(worst[i], abs(decimal.Decimal(value) - exact) / exact)
+    return worst
+
+
 def test_closed_form_matches_a_60_digit_reference():
     # g2/g1 up to 1e6 and phi/g1 down to 1e-6, where the textbook forms in
     # doubles cancel to relative errors of about 1e-9 (b3, b2), 1e-7 (p1,
     # beta) and 0.1 (p2)
     rng = np.random.default_rng(7)
-    worst = [0.0] * 5
+    instances = []
     for _ in range(5000):
         g1 = 10.0 ** rng.uniform(-6.0, 6.0)
         g2 = g1 * 10.0 ** rng.uniform(0.0, 6.0)
         phi = g1 * 10.0 ** rng.uniform(-6.0, 0.0)
         p = 10.0 ** rng.uniform(-3.0, 3.0)
-        if not g1 > phi:
-            continue
-        # the eavesdropper gain is the stringency itself at EPS_E1
-        sol = solve_maxmin_two_user(ChannelRealization((g1, g2), phi), EPS_E1, p)
-        got = (
-            rate_ceiling_two_user(g1, g2, phi, p),
-            *sol.allocation.powers_mw,
-            optimal_power_ratio_user1(g1, g2, phi, p),
-            bound_triple(g1, g2, phi, p)[1],
-        )
-        for i, (value, exact) in enumerate(zip(got, _two_user_reference(g1, g2, phi, p))):
-            worst[i] = max(worst[i], abs(decimal.Decimal(value) - exact) / exact)
-    assert max(worst) <= 1e-15
+        if g1 > phi:
+            instances.append((g1, g2, phi, p))
+    assert max(_closed_form_errors(instances)) <= 1e-15
+
+
+def test_closed_form_matches_a_60_digit_reference_near_the_boundary():
+    # g1/phi - 1 from 1e-12 to 1e-3: a gap taken as g p - phi p, not
+    # (g - phi) p, rounds there to a relative error of about 1e-4 in p2
+    rng = np.random.default_rng(8)
+    instances = []
+    for _ in range(2000):
+        phi = 10.0 ** rng.uniform(-6.0, 6.0)
+        g1 = phi * (1.0 + 10.0 ** rng.uniform(-12.0, -3.0))
+        g2 = g1 * 10.0 ** rng.uniform(0.0, 6.0)
+        instances.append((g1, g2, phi, 10.0 ** rng.uniform(-3.0, 3.0)))
+    assert max(_closed_form_errors(instances)) <= 1e-15
 
 
 def _maxmin_instances(rng, per_k):
@@ -228,21 +249,37 @@ def test_closed_forms_raise_where_they_overflow(gain):
             closed_form(gain, 10.0 * gain, 1.0, 1.0)
 
 
-def test_closed_forms_raise_where_the_discriminant_underflows():
-    # equal gains near 1e-162: the discriminant underflows to 0, and so
-    # would the ceiling's denominator; the bisection, seeded by that ceiling,
-    # divided by zero too and now runs unseeded to the rate of every scale
-    channel = ChannelRealization((1e-162, 1e-162), 1e-162)
+def test_closed_forms_answer_at_tiny_gains():
+    # equal gains near 1e-162 at SNR 1, where the discriminant of the gains
+    # themselves underflowed to 0: in SNRs the closed forms give the rate
+    # and the split of every scale, as the bisection and its rows do
     phi = 1e-162 * math.log(2.0)
     for scale in (1.0, 1e-162):
         sol = solve_maxmin_bisection(ChannelRealization((scale, scale), scale), 0.5, 1.0 / scale)
         assert sol.rate == 0.12014630588237196
     rates = _maxmin_rows(np.array([[1e-162, 1e-162]]), np.array([phi]), 1e162, DEFAULT_TOL)[0]
     assert rates.tolist() == [0.12014630588237196]
-    with pytest.raises(ValueError, match="^the two-user closed form underflows$"):
-        solve_maxmin_two_user(channel, 0.5, 1e162)
-    with pytest.raises(ValueError, match="^the two-user closed form underflows$"):
-        bound_triple(1e-162, 1e-162, phi, 1e162)
+    sol = solve_maxmin_two_user(ChannelRealization((1e-162, 1e-162), 1e-162), 0.5, 1e162)
+    assert abs(sol.rate - 0.12014630588237196) <= DEFAULT_TOL
+    assert math.log2(bound_triple(1e-162, 1e-162, phi, 1e162)[2]) == sol.rate
+    share = optimal_power_ratio_user1(1e-162, 1e-162, phi, 1e162)
+    assert share == pytest.approx(0.6479107149969, abs=1e-13)
+    assert share == pytest.approx(optimal_power_ratio_user1(1.0, 1.0, math.log(2.0), 1.0), rel=1e-15)
+    assert sol.allocation.powers_mw[0] == 1e162 * share
+
+
+def test_closed_forms_answer_at_tiny_snrs():
+    # SNRs near 1e-200, where a product of two gaps taken times the budget
+    # would underflow to 0: the gaps are lifted by a power of two, so the
+    # ceiling stays 1.0 and the weak user's share the small-SNR limit, which
+    # equalizes the rates (g - phi) p_k: (g2 - phi) / (g1 + g2 - 2 phi)
+    for gains, share in (((1.0, 1.0), 0.5), ((1.0, 2.0), 0.75)):
+        for p in (1e-200, 1e-320):
+            assert optimal_power_ratio_user1(*gains, 0.5, p) == pytest.approx(share, rel=1e-15)
+            assert bound_triple(*gains, 0.5, p)[2] == 1.0
+            # the bracket top log2(1 + g1 p) is 0; the seed divided by zero
+            with pytest.raises(ValueError, match="^tolerance too coarse"):
+                solve_maxmin_bisection(ChannelRealization(gains, 0.5), EPS_E1, p)
 
 
 @pytest.mark.parametrize("budget", [-1.0, 0.0, math.nan, math.inf])
