@@ -4,19 +4,15 @@
 position or keyword, with the defaults as written, then `__post_init__`; a
 `Name(field=value, ...)` repr; `==` only between instances of the same class,
 by the field tuple, and the hash of that tuple; `__match_args__`; and an
-AttributeError on assigning or deleting an attribute. A class whose fields
-have no defaults is rebuilt with `__slots__` naming its fields, so its
-instances carry no `__dict__`, and `__init__` stores each field through its
-slot's descriptor, with no name lookup; a class with defaults keeps its
-`__dict__` and stores through `object.__setattr__`. Pickling and `copy`
-reduce an instance to its class and field tuple and rebuild it through
-`__init__`, so `__post_init__` checks every copy. The five methods come
-from one `exec` per class. The standard library's frozen-class decorator
-compiles six, one exec each, and imports `inspect`: about 20 ms of every CLI
-process.
+AttributeError on assigning or deleting an attribute. The class is rebuilt
+with `__slots__` naming its fields, so its instances carry no `__dict__`; its
+defaults live only in `__init__`, which stores each field through its slot's
+descriptor, with no name lookup. Pickling and `copy` reduce an instance to
+its class and field tuple and rebuild it through `__init__`, so
+`__post_init__` checks every copy. The five methods come from one `exec` per
+class. The standard library's frozen-class decorator compiles six, one exec
+each, and imports `inspect`: about 20 ms of every CLI process.
 """
-
-_MISSING = object()
 
 
 class factory:
@@ -36,33 +32,24 @@ def _no_delete(self, name):
 
 def record(cls):
     names = tuple(cls.__annotations__)
-    namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_factory": factory}
-    # a class with defaults keeps its dict: its defaults stay readable as
-    # class attributes (`SweepSpec.trials`), and a slot cannot share a name
-    # with a class attribute
-    if not any(name in cls.__dict__ for name in names):
-        attrs = {key: value for key, value in cls.__dict__.items() if key not in ("__dict__", "__weakref__")}
-        attrs.update(__slots__=names, __qualname__=cls.__qualname__)
-        cls = type(cls)(cls.__name__, cls.__bases__, attrs)
-        # each slot's own descriptor stores its field with no name lookup
-        namespace.update((f"_set_{name}", cls.__dict__[name].__set__) for name in names)
+    namespace = {"__name__": cls.__module__}
     params, body = [], []
     for name in names:
-        default = cls.__dict__.get(name, _MISSING)
-        value = name
-        if isinstance(default, factory):
-            # the class keeps no attribute that instances would share
-            delattr(cls, name)
-            namespace[f"_make_{name}"] = default.make
-            params.append(f"{name}=_factory")
-            value = f"_make_{name}() if {name} is _factory else {name}"
-        elif default is not _MISSING:
-            namespace[f"_default_{name}"] = default
-            params.append(f"{name}=_default_{name}")
-        else:
-            params.append(name)
-        store = f"_set_{name}(self, " if f"_set_{name}" in namespace else f"_set(self, {name!r}, "
-        body.append(f"  {store}{value})\n")
+        param = value = name
+        if name in cls.__dict__:
+            default = namespace[f"_default_{name}"] = cls.__dict__[name]
+            param = f"{name}=_default_{name}"
+            if isinstance(default, factory):
+                # the factory itself stands for "not given"
+                value = f"_default_{name}.make() if {name} is _default_{name} else {name}"
+        params.append(param)
+        body.append(f"  _set_{name}(self, {value})\n")
+    # a slot cannot share its name with a class attribute: the defaults leave the class
+    attrs = {key: value for key, value in cls.__dict__.items() if key not in (*names, "__dict__", "__weakref__")}
+    attrs.update(__slots__=names, __qualname__=cls.__qualname__)
+    cls = type(cls)(cls.__name__, cls.__bases__, attrs)
+    # each slot's own descriptor stores its field with no name lookup
+    namespace.update((f"_set_{name}", cls.__dict__[name].__set__) for name in names)
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()\n")
     own = "".join(f"self.{name}," for name in names)

@@ -62,6 +62,15 @@ class SweepAxis:
         return points
 
 
+def _take(data, key, parse, *default):
+    """Pop a config key and parse its text with `parse`, int or float; an error names the key."""
+    raw = data.pop(key, *default)
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be {'an integer' if parse is int else 'a number'}, not {raw!r}") from None
+
+
 @record
 class SweepSpec:
     """A sweep: its kind, the axis it varies, fixed keys, fading trials per point and seed."""
@@ -100,17 +109,18 @@ class SweepSpec:
             kind = data.pop("kind")
             axis = SweepAxis(
                 data.pop("axis"),
-                float(data.pop("axis_start")),
-                float(data.pop("axis_stop")),
-                int(data.pop("axis_steps")),
+                _take(data, "axis_start", float),
+                _take(data, "axis_stop", float),
+                _take(data, "axis_steps", int),
             )
         except KeyError as missing:
             raise ValueError(f"sweep config is missing required key {missing}") from None
-        trials = int(data.pop("trials", 1))
-        seed = int(data.pop("seed", 0))
+        # int, not float, for the counts: a float would round a seed near 2**64
+        trials = _take(data, "trials", int, 1)
+        seed = _take(data, "seed", int, 0)
         fixed = {}
-        for key, raw in data.items():
-            value = float(raw)
+        for key in tuple(data):
+            value = _take(data, key, float)
             # a fractional count is kept as it is, for __post_init__ to reject
             fixed[key] = int(value) if key in _INT_KEYS and value.is_integer() else value
         return cls(kind, axis, fixed, trials, seed)

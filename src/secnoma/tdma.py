@@ -9,7 +9,7 @@ import math
 
 from ._lazy import lazy_module
 from ._record import record
-from .channel import ChannelRealization
+from .channel import ChannelRealization, _require_integer
 from .maxmin import (
     _TOO_COARSE, DEFAULT_TOL, _bracket_top, _check_budget, _equal_time_rate, _maxmin, _optimal_time_rate,
     _slot_rate, _tdma_rates, check_positive_rate_feasibility, solve_maxmin_two_user,
@@ -194,6 +194,7 @@ def noma_rate_region_boundary(
     """
     if channel.num_users != 2:
         raise ValueError("rate region is specific to two users")
+    _require_integer("samples", samples)
     if samples < 3:
         raise ValueError("need at least 3 samples")
     _check_budget(p_mw)

@@ -427,6 +427,27 @@ def test_sweep_config_errors(tmp_path):
     assert rc == EXIT_USAGE and "no output path" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("trials", "2.5", "trials must be an integer, not '2.5'"),
+        ("seed", "1e3", "seed must be an integer, not '1e3'"),
+        ("axis_steps", "3.0", "axis_steps must be an integer, not '3.0'"),
+        ("axis_start", "low", "axis_start must be a number, not 'low'"),
+        ("axis_stop", "0.3.1", "axis_stop must be a number, not '0.3.1'"),
+        ("eps", "abc", "eps must be a number, not 'abc'"),
+    ],
+)
+def test_sweep_config_value_error_names_its_key(tmp_path, capsys, key, value, message):
+    lines = [line for line in SWEEP_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+    out = tmp_path / "x.csv"
+    assert secnoma.cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"sweep config error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_negative_seed_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CONFIG + "seed = -1\n")

@@ -7,6 +7,7 @@ import json
 import pickle
 import subprocess
 import sys
+from types import MemberDescriptorType
 
 import pytest
 
@@ -140,12 +141,13 @@ def test_records_match_by_position():
 def test_records_construct_as_written():
     axis = secnoma.SweepAxis("eps", 0.05, 0.45, 9)
     spec = secnoma.SweepSpec("avg_rate_vs_eps", axis)
-    keyword = secnoma.SweepSpec(kind="avg_rate_vs_eps", axis=axis, fixed={}, trials=1, seed=0)
-    assert spec == keyword and (spec.trials, spec.seed) == (1, 0)
-    # each spec without `fixed` gets a dict of its own; the class holds none
-    assert spec.fixed == {} and spec.fixed is not keyword.fixed
+    keyword = secnoma.SweepSpec(kind="avg_rate_vs_eps", axis=axis)
+    written = secnoma.SweepSpec(kind="avg_rate_vs_eps", axis=axis, fixed={}, trials=1, seed=0)
+    for value in (spec, keyword):
+        assert value == written and (value.fixed, value.trials, value.seed) == ({}, 1, 0)
+    # each spec without `fixed` gets a dict of its own
+    assert len({id(value.fixed) for value in (spec, keyword, written)}) == 3
     assert spec.fixed is not secnoma.SweepSpec("avg_rate_vs_eps", axis).fixed
-    assert not hasattr(secnoma.SweepSpec, "fixed") and secnoma.SweepSpec.trials == 1
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'axis'"):
         secnoma.SweepSpec("avg_rate_vs_eps")
     with pytest.raises(TypeError, match="got multiple values for argument 'codeword_rate'"):
@@ -194,14 +196,10 @@ def test_records_store_their_fields_in_slots():
         cls, fields = type(value), tuple(getattr(value, name) for name in value.__match_args__)
         # pickle and copy rebuild an instance from this, through __init__
         assert value.__reduce__() == (cls, fields)
-        if cls is secnoma.SweepSpec:
-            # the one record with defaults: they stay class attributes, so
-            # its instances keep a dict
-            assert "__slots__" not in vars(cls) and (cls.trials, cls.seed) == (1, 0)
-            assert vars(value) == dict(zip(cls.__match_args__, fields))
-        else:
-            assert cls.__slots__ == cls.__match_args__
-            assert not hasattr(value, "__dict__")
+        assert cls.__slots__ == cls.__match_args__
+        assert not hasattr(value, "__dict__")
+        # the class keeps no default: each field name is its slot
+        assert all(type(vars(cls)[name]) is MemberDescriptorType for name in cls.__match_args__)
 
 
 class _Unchecked:
@@ -240,10 +238,14 @@ class _Defaults:
     extra: dict = factory(dict)
     count: int = 2
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("count must be nonnegative")
+
 
 def test_record_on_stand_in_classes(monkeypatch):
-    # the decorator alone, on classes of this module: slots where no field
-    # has a default, and pickle, copy and deepcopy through the constructor
+    # the decorator alone, on classes of this module: slots with or without
+    # defaults, and pickle, copy and deepcopy through the constructor
     pair = _Pair(1, (2, 3))
     assert repr(pair) == "_Pair(left=1, right=(2, 3))" and pair.total() == 6
     assert _Pair.__slots__ == _Pair.__match_args__ == ("left", "right")
@@ -257,8 +259,20 @@ def test_record_on_stand_in_classes(monkeypatch):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(pair, name, 2)
     spec = _Defaults("a")
-    assert (_Defaults.count, vars(spec)) == (2, {"name": "a", "extra": {}, "count": 2})
-    assert spec.__reduce__() == (_Defaults, ("a", {}, 2)) and pickle.loads(pickle.dumps(spec)) == spec
+    assert repr(spec) == "_Defaults(name='a', extra={}, count=2)"
+    assert _Defaults.__slots__ == _Defaults.__match_args__ == ("name", "extra", "count")
+    assert not hasattr(spec, "__dict__") and spec.__reduce__() == (_Defaults, ("a", {}, 2))
+    assert spec.extra is not _Defaults("a").extra and _Defaults("b", count=0).extra == {}
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        _Defaults("a", count=-1)
+    checked.clear()
+    monkeypatch.setattr(_Defaults, "__post_init__", lambda self: checked.append(self.name))
+    clones = pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)
+    for clone in clones:
+        assert type(clone) is _Defaults and clone == spec and clone is not spec
+    assert checked == ["a", "a", "a"]
+    # a shallow copy shares the field values; a deep copy does not
+    assert clones[1].extra is spec.extra and clones[2].extra is not spec.extra
 
     @record
     class Local:

@@ -274,6 +274,11 @@ def test_region_validation():
         noma_rate_region_boundary(ChannelRealization((5.0, 10.0, 20.0), 1.0), EPS_E1, 1.0)
     with pytest.raises(ValueError):
         noma_rate_region_boundary(TWO_USER, EPS_E1, 1.0, samples=2)
+    # a count given as a float or a string is named, not left to numpy
+    for samples in (3.5, 4.0, "5"):
+        with pytest.raises(ValueError, match=f"^samples must be an integer, not {samples!r}$"):
+            noma_rate_region_boundary(TWO_USER, EPS_E1, 1.0, samples=samples)
+    assert len(noma_rate_region_boundary(TWO_USER, EPS_E1, 1.0, samples=np.int64(3)).noma) == 3
     with pytest.raises(ValueError):
         noma_rate_region_boundary(ChannelRealization((0.5, 10.0), 1.0), EPS_E1, 1.0)
     for budget in (-1.0, 0.0, math.nan, math.inf):
