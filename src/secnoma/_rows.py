@@ -10,9 +10,8 @@ import numpy as np
 
 from .experiments import AggregateResult
 from .maxmin import (
-    _BRACKET_STALLED, _LN2, _NEWTON_EVALS, _NEWTON_STOP, _TOO_COARSE, _WINDOW, _bracket_top,
-    _can_stall, _check_budget_and_tol, _equal_time_rate, _fits, _maxmin, _optimal_time_rate, _rounds_to_close,
-    _slot_rate, rate_ceiling_two_user,
+    _BRACKET_STALLED, _LN2, _NEWTON_EVALS, _NEWTON_STOP, _TOO_COARSE, _WINDOW, _bracket_top, _can_stall,
+    _check_budget_and_tol, _equal_time_rate, _maxmin, _optimal_time_rate, _slot_rate, rate_ceiling_two_user,
 )
 from .power_min import _recursion
 from .secrecy import _sum
@@ -36,11 +35,19 @@ def _tdma_maxmin_rows(gains, phi, p):
     return rate_opt, _equal_time_rate(slots, _sum(np.isfinite(gains).T), _min)
 
 
-# No numpy loop calls libm `log2` (`maxmin._pow2_each` says why the rows round
-# through libm): the SIMD `np.log2` and a long-double log2 each differ on
-# about 5e-5 to 4e-4 of inputs, by their range, so log2 stays one libm call
-# per element, read through a memoryview so that only one Python float
-# exists at a time.
+# The rows must reproduce the scalar solvers bit for bit, so 2**q and log2
+# must round as Python's `**` and math.log2 do, through the C library.
+# `np.float_power`'s float64 loop calls libm `pow` itself; `np.power` and
+# `np.exp2` may be SIMD-dispatched (AVX-512 SVML) and then differ from libm
+# in the last bit on about 5% of inputs.
+def _pow2_each(q):
+    return np.float_power(2.0, q)
+
+
+# No numpy loop calls libm `log2`: the SIMD `np.log2` and a long-double log2
+# each differ on about 5e-5 to 4e-4 of inputs, by their range, so log2 stays
+# one libm call per element, read through a memoryview so that only one
+# Python float exists at a time.
 def _log2_each(x):
     return np.fromiter(map(math.log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
@@ -94,6 +101,15 @@ def _newton_rows(gains, phi, pad, power_budget_mw, hi, q):
     return seed
 
 
+def _fits_rows(cols, phi, power_budget_mw, q, pad):
+    """`maxmin._fits` on the rows of the gain columns cols, with a pad mask
+    (see `_recursion`) and one floor per row in q, bit for bit: 2**q rounds
+    as Python's `**` does on floats, and the powers add column 0 first."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        powers, _, _, ok = _recursion(cols, phi, _pow2_each(q), pad)
+        return ok & (_sum(powers) <= power_budget_mw)
+
+
 def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     """`_window` on every row."""
     r = _seed_rows(gains, phi, pad, power_budget_mw, hi, floor)
@@ -101,8 +117,8 @@ def _window_rows(gains, phi, pad, power_budget_mw, hi, floor):
     certified = (0.0 < lo_e) & (hi_e < hi)
     rows = np.flatnonzero(certified)
     cols, phi, pad = gains[rows].T, phi[rows], pad[rows]
-    accepts_lo = _fits(cols, phi, power_budget_mw, lo_e[rows], pad)
-    certified[rows] = accepts_lo & ~_fits(cols, phi, power_budget_mw, hi_e[rows], pad)
+    accepts_lo = _fits_rows(cols, phi, power_budget_mw, lo_e[rows], pad)
+    certified[rows] = accepts_lo & ~_fits_rows(cols, phi, power_budget_mw, hi_e[rows], pad)
     return np.where(certified, lo_e, -np.inf), np.where(certified, hi_e, np.inf)
 
 
@@ -120,6 +136,18 @@ def _move(bits, q, move, narrow, step=None):
     if narrow and (move & (step == 0)).any():
         raise ValueError(_BRACKET_STALLED)
     bits += step
+
+
+def _rounds_to_close(width, tol):
+    """How many bisection rounds brackets at least width wide can take, each
+    moving a bound to its midpoint, and still all be at least tol wide, when
+    no bracket can stall (see `_can_stall`): a move at least halves a
+    bracket, give or take the midpoint's rounding, which is then below
+    tol / 2. 0 unless width / tol is a finite number above 4."""
+    ratio = width / tol
+    if not 4.0 < ratio < math.inf:
+        return 0
+    return int(math.log2(ratio)) - 1
 
 
 def _replay(bounds, lo_e, hi_e, tol, narrow, q, move, step):
@@ -233,7 +261,7 @@ def _lockstep(gains, phi, power_budget_mw, tol):
             if not active.size:
                 break
         # every midpoint left lies inside its window: one exact step
-        accept = _fits(gains.T, phi, power_budget_mw, q, pad)
+        accept = _fits_rows(gains.T, phi, power_budget_mw, q, pad)
         _move(bounds.view(np.int64), q, np.stack((accept, ~accept)), narrow)
     return np.stack((rate, floor, rate_eq))
 

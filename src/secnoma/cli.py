@@ -149,13 +149,14 @@ def _cmd_max_min_rate(args, parser):
 
 
 def _cmd_compare_oma(args, parser):
-    from .maxmin import _positive_rate_verdict, check_positive_rate_feasibility
+    from .maxmin import _gate
     from .tdma import compare_maxmin
 
     channel = _channel_from_args(args, parser)
     p_mw = dbm_to_mw(args.p_dbm)
-    if not check_positive_rate_feasibility(channel, args.eps):
-        return _print_verdict(_positive_rate_verdict(channel, args.eps), args.json)
+    verdict = _gate(channel, args.eps)[1]
+    if verdict is not None:
+        return _print_verdict(verdict, args.json)
     result = compare_maxmin(channel, args.eps, p_mw)
     payload = {
         "feasible": True,

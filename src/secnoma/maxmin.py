@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 
-from ._lazy import lazy_module
 from ._record import record
 from .channel import ChannelRealization
 from .power_min import InfeasibleReason, InfeasibleVerdict, _recursion
 from .secrecy import PowerAllocation, _stringency, _sum
-
-np = lazy_module("numpy")
 
 DEFAULT_TOL = 1e-10
 # an infinite bracket would never narrow
@@ -42,15 +39,18 @@ class MaxMinSolution:
 
 def check_positive_rate_feasibility(channel: ChannelRealization, eps: float) -> bool:
     """A positive common rate exists iff every gain clears the stringency."""
-    return channel.user_gains[0] > _stringency(channel.eaves_avg_gain, eps)
+    return _gate(channel, eps)[1] is None
 
 
-def _positive_rate_verdict(channel, eps):
+def _gate(channel, eps):
+    """(phi, None) where the weakest gain clears the stringency phi (a positive
+    common rate exists), else (phi, the verdict naming each failing user)."""
     phi = _stringency(channel.eaves_avg_gain, eps)
-    failing = frozenset(
-        k for k in range(1, channel.num_users + 1) if channel.user_gains[k - 1] <= phi
-    )
-    return InfeasibleVerdict(failing, InfeasibleReason.POSITIVE_RATE)
+    gains = channel.user_gains
+    if gains[0] > phi:
+        return phi, None
+    failing = frozenset(k for k, g in enumerate(gains, 1) if g <= phi)
+    return phi, InfeasibleVerdict(failing, InfeasibleReason.POSITIVE_RATE)
 
 
 def solve_maxmin_bisection(
@@ -69,10 +69,10 @@ def solve_maxmin_bisection(
     solve (see `_window`); the result is the plain bisection's.
     """
     _check_budget_and_tol(power_budget_mw, tol)
+    phi, verdict = _gate(channel, eps)
+    if verdict is not None:
+        return verdict
     gains = channel.user_gains
-    phi = _stringency(channel.eaves_avg_gain, eps)
-    if not gains[0] > phi:
-        return _positive_rate_verdict(channel, eps)
     rate, _, _, iterations = _maxmin(gains, phi, power_budget_mw, tol)
     if rate == 0.0:
         raise ValueError(_TOO_COARSE)
@@ -143,18 +143,6 @@ def _can_stall(tol, hi):
     return tol <= math.ulp(hi)
 
 
-def _rounds_to_close(width, tol):
-    """How many bisection rounds brackets at least width wide can take, each
-    moving a bound to its midpoint, and still all be at least tol wide, when
-    no bracket can stall (see `_can_stall`): a move at least halves a
-    bracket, give or take the midpoint's rounding, which is then below
-    tol / 2. 0 unless width / tol is a finite number above 4."""
-    ratio = width / tol
-    if not 4.0 < ratio < math.inf:
-        return 0
-    return int(math.log2(ratio)) - 1
-
-
 def _slot_rate(gain, phi, p, log2=math.log2, maximum=max):
     """Confidential rate of a TDMA slot at the full budget p, on floats, or on
     arrays with log2 and maximum for arrays: log2((1 + p gain) / (1 + p phi))
@@ -200,18 +188,11 @@ _NEWTON_STOP = 1e-13
 _LN2 = math.log(2.0)
 
 
-def _fits(cols, phi, power_budget_mw, q, pad=None):
-    """The bisection's exact test: the floor q has a minimum-power solution
-    that fits the budget. On one instance's gains, or with a pad mask (see
-    `_recursion`) on the rows of the gain columns cols, with one floor per
-    row in q. Either way 2**q rounds as Python's `**` does on floats, and
-    the powers add column 0 first (`_sum`)."""
-    if pad is None:
-        powers, _, _, _ = _recursion(cols, phi, 2.0 ** q)
-        return powers is not None and _sum(powers) <= power_budget_mw
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        powers, _, _, ok = _recursion(cols, phi, _pow2_each(q), pad)
-        return ok & (_sum(powers) <= power_budget_mw)
+def _fits(gains, phi, power_budget_mw, q):
+    """The bisection's exact test on one instance's gains: the floor q has a
+    minimum-power solution that fits the budget, its powers added by `_sum`."""
+    powers, _, _, _ = _recursion(gains, phi, 2.0 ** q)
+    return powers is not None and _sum(powers) <= power_budget_mw
 
 
 def _seed(gains, phi, power_budget_mw, hi, q):
@@ -266,15 +247,6 @@ def _window(gains, phi, power_budget_mw, hi, floor):
     ):
         return lo_e, hi_e
     return -math.inf, math.inf
-
-
-# The row solvers (`_rows`) must reproduce the scalar solvers bit for bit,
-# so 2**q and log2 must round as Python's `**` and math.log2 do, through the
-# C library. `np.float_power`'s float64 loop calls libm `pow` itself;
-# `np.power` and `np.exp2` may be SIMD-dispatched (AVX-512 SVML) and then
-# differ from libm in the last bit on about 5% of inputs.
-def _pow2_each(q):
-    return np.float_power(2.0, q)
 
 
 def _gap_scale(g2, phi, p):
@@ -334,12 +306,14 @@ def solve_maxmin_two_user(
     if channel.num_users != 2:
         raise ValueError("closed form is specific to two users")
     _check_budget(power_budget_mw)
-    if not check_positive_rate_feasibility(channel, eps):
-        return _positive_rate_verdict(channel, eps)
+    phi, verdict = _gate(channel, eps)
+    if verdict is not None:
+        return verdict
+    return _two_user(*channel.user_gains, phi, power_budget_mw)
 
-    g1, g2 = channel.user_gains
-    phi = _stringency(channel.eaves_avg_gain, eps)
-    p = power_budget_mw
+
+def _two_user(g1, g2, phi, p):
+    """`solve_maxmin_two_user` past its checks and gate."""
     psi, s = _closed_form(g1, g2, phi, p)
     p1 = p * _weak_share(psi, s, g1, g2, phi, p)
     # p (psi - C) / (2 D) with C = (g1 - phi) s + (g2 - phi) s + phi p (g2 - g1) s,

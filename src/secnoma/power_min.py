@@ -54,6 +54,8 @@ def constraint_ratio(gain: float, q: float, own_power: float, interference_power
     Increasing in own_power and decreasing in interference_power on the
     region where the QoS itself is met.
     """
+    if not all(map(math.isfinite, (gain, q, own_power, interference_power))):
+        raise ValueError("gain, rate and powers must be finite")
     num, den = _outage_terms(gain, own_power, interference_power, q)
     if den <= 0.0:
         raise ValueError("degenerate constraint: no positive stringency bound")

@@ -126,8 +126,8 @@ def eaves_sinr(eaves_gain: float, alloc: PowerAllocation, k: int) -> float:
     """Eavesdropper SINR on message k for one realized gain, assuming she has
     already stripped messages 1..k-1 (worst case for secrecy)."""
     _check_user_index(k, alloc.num_users)
-    if not (eaves_gain > 0):
-        raise ValueError("eavesdropper gain must be positive")
+    if not (0 < eaves_gain < math.inf):
+        raise ValueError("eavesdropper gain must be positive and finite")
     return eaves_gain * alloc.powers_mw[k - 1] / (1.0 + eaves_gain * _suffix_power(alloc, k))
 
 

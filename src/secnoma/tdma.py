@@ -7,17 +7,14 @@ from __future__ import annotations
 
 import math
 
-from ._lazy import lazy_module
 from ._record import record
 from .channel import ChannelRealization, _require_integer
 from .maxmin import (
-    _TOO_COARSE, DEFAULT_TOL, _bracket_top, _check_budget, _equal_time_rate, _maxmin, _optimal_time_rate,
-    _slot_rate, _tdma_rates, check_positive_rate_feasibility, solve_maxmin_two_user,
+    _TOO_COARSE, DEFAULT_TOL, _bracket_top, _check_budget, _equal_time_rate, _gate, _maxmin, _optimal_time_rate,
+    _slot_rate, _tdma_rates, _two_user,
 )
 from .power_min import InfeasibleReason, InfeasibleVerdict, _alone
 from .secrecy import _stringency, _sum
-
-np = lazy_module("numpy")
 
 _INFEASIBLE = "instance infeasible: no positive common rate exists"
 _NO_TDMA_RATE = "optimal-time TDMA has no positive rate at this budget: the ratio is undefined"
@@ -66,8 +63,8 @@ class TdmaMinPower:
 def tdma_user_rate(gain: float, eaves_avg_gain: float, eps: float, p_mw: float, t: float) -> float:
     """Confidential rate of one user given its slot fraction and full-budget
     transmission inside the slot."""
-    if not (gain > 0 and eaves_avg_gain > 0):
-        raise ValueError("gain and eavesdropper gain must be positive")
+    if not (0 < gain < math.inf and 0 < eaves_avg_gain < math.inf):
+        raise ValueError("gain and eavesdropper gain must be positive and finite")
     _check_budget(p_mw)
     if not (0.0 <= t <= 1.0):
         raise ValueError("slot fraction must lie in [0, 1]")
@@ -145,19 +142,16 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
     the bisection tolerance when the bisection produced the rate) fails,
     since that would mean a solver bug rather than a modelling outcome.
     """
+    _check_budget(p_mw)
+    phi, verdict = _gate(channel, eps)
+    if verdict is not None:
+        raise ValueError(_INFEASIBLE)
     gains = channel.user_gains
     if channel.num_users == 2:
-        noma = solve_maxmin_two_user(channel, eps, p_mw)
-        if isinstance(noma, InfeasibleVerdict):
-            raise ValueError(_INFEASIBLE)
-        rate_opt, rate_eq, _ = _tdma_rates(gains, _stringency(channel.eaves_avg_gain, eps), p_mw)
-        rate, iterations = noma.rate, 0
+        rate, iterations = _two_user(*gains, phi, p_mw).rate, 0
+        rate_opt, rate_eq, _ = _tdma_rates(gains, phi, p_mw)
     else:
-        # solve_maxmin_bisection's checks and kernel, with no allocation
-        _check_budget(p_mw)
-        phi = _stringency(channel.eaves_avg_gain, eps)
-        if not gains[0] > phi:
-            raise ValueError(_INFEASIBLE)
+        # solve_maxmin_bisection's kernel, with no allocation
         rate, rate_opt, rate_eq, iterations = _maxmin(gains, phi, p_mw, DEFAULT_TOL)
         if rate == 0.0:
             raise ValueError(_TOO_COARSE)
@@ -198,14 +192,16 @@ def noma_rate_region_boundary(
     if samples < 3:
         raise ValueError("need at least 3 samples")
     _check_budget(p_mw)
-    if not check_positive_rate_feasibility(channel, eps):
+    phi, verdict = _gate(channel, eps)
+    if verdict is not None:
         raise ValueError("instance infeasible: the region degenerates to the origin")
-    phi = _stringency(channel.eaves_avg_gain, eps)
     g1, g2 = channel.user_gains
     p = float(p_mw)
     # the largest products below, each at p2 = p
     if max((1.0 + g1 * p) * (1.0 + phi * p), 1.0 + g2 * p) == math.inf:
         raise OverflowError("the rate region's products overflow")
+
+    import numpy as np
 
     p2 = np.linspace(0.0, p, samples)
     r1 = np.log2((1.0 + g1 * p) * (1.0 + phi * p2) / ((1.0 + g1 * p2) * (1.0 + phi * p)))

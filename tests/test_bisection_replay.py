@@ -189,7 +189,7 @@ def test_replay_skips_only_rounds_in_which_no_bracket_can_close(case):
     assert not maxmin._can_stall(tol, float(bounds[1].max()))
     # whichever bound each round moves, no bracket is narrower than tol
     # after the rounds counted from the narrowest one
-    rounds = maxmin._rounds_to_close(float((bounds[1] - bounds[0]).min()), tol)
+    rounds = _rows._rounds_to_close(float((bounds[1] - bounds[0]).min()), tol)
     lo, hi = bounds
     for up in np.random.default_rng(seed).random((rounds, len(lo))) < 0.5:
         q = 0.5 * (lo + hi)
@@ -237,7 +237,7 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
     """At most six exact tests per row on average, on both paths, against
     about 36 for the plain bisection."""
     calls = {"pow": 0, "fits": 0}
-    pow2_each, fits = maxmin._pow2_each, maxmin._fits
+    pow2_each, fits = _rows._pow2_each, maxmin._fits
 
     def count_pow(q):
         calls["pow"] += q.size
@@ -247,9 +247,7 @@ def test_replay_keeps_exact_tests_few(monkeypatch):
         calls["fits"] += 1
         return fits(*args)
 
-    # the lockstep's exact tests reach the patched 2**q through `maxmin._fits`,
-    # which `_rows` binds unpatched; the scalar bisection calls `maxmin._fits`
-    monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
+    monkeypatch.setattr(_rows, "_pow2_each", count_pow)
     monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _standard_rows(seed=11, trials=150)
     solved = 0
@@ -500,7 +498,7 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
     """At most six exact tests per row on average, on both paths, at three
     outage bounds of the eps_sweep study (budget 20 dBm)."""
     calls = {"pow": 0, "fits": 0}
-    pow2_each, fits = maxmin._pow2_each, maxmin._fits
+    pow2_each, fits = _rows._pow2_each, maxmin._fits
 
     def count_pow(q):
         calls["pow"] += q.size
@@ -510,9 +508,7 @@ def test_two_user_replay_keeps_exact_tests_few(monkeypatch):
         calls["fits"] += 1
         return fits(*args)
 
-    # the lockstep's exact tests reach the patched 2**q through `maxmin._fits`,
-    # which `_rows` binds unpatched; the scalar bisection calls `maxmin._fits`
-    monkeypatch.setattr(maxmin, "_pow2_each", count_pow)
+    monkeypatch.setattr(_rows, "_pow2_each", count_pow)
     monkeypatch.setattr(maxmin, "_fits", count_fits)
     rows, eaves = _two_user_rows(trials=600)
     budget, solved = 100.0, 0

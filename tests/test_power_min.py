@@ -263,6 +263,17 @@ def test_constraint_ratio_partial_signs(gain, q, y, extra):
     assert constraint_ratio(gain, q, x, y + h) < base
 
 
+def test_constraint_ratio_rejects_non_finite_arguments():
+    # each of these read nan instead of raising; zero interference stays valid
+    args = (5.0, 1.0, 2.0, 0.0)
+    assert constraint_ratio(*args) == 2.25  # (11 - 2) / (2 * 2 - 11 * 0)
+    for position in range(len(args)):
+        for bad in (math.inf, -math.inf, math.nan):
+            bent = args[:position] + (bad,) + args[position + 1 :]
+            with pytest.raises(ValueError, match="^gain, rate and powers must be finite$"):
+                constraint_ratio(*bent)
+
+
 def _random_feasible_instance(rng, num_users):
     while True:
         gains = tuple(sorted(rng.uniform(2.0, 30.0, size=num_users)))

@@ -71,6 +71,15 @@ def test_eaves_sinr_worked_value():
     assert eaves_sinr(2.0, alloc, 2) == pytest.approx(0.4, rel=1e-12)
 
 
+def test_eaves_sinr_rejects_a_non_finite_gain():
+    # an infinite gain made 0 * inf / inf, nan, of every message but the last
+    alloc = PowerAllocation((0.8, 0.2))
+    for gain in (math.inf, math.nan):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="^eavesdropper gain must be positive and finite$"):
+                eaves_sinr(gain, alloc, k)
+
+
 @given(st.floats(0.01, 50.0), st.floats(0.01, 50.0))
 def test_eaves_sinr_monotone_in_gain(g_lo, g_hi):
     alloc = PowerAllocation((0.8, 0.2))

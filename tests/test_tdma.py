@@ -20,6 +20,7 @@ from secnoma import (
     tdma_min_power,
     tdma_user_rate,
 )
+from secnoma import maxmin, tdma
 from secnoma.maxmin import _BRACKET_OVERFLOW, DEFAULT_TOL
 from secnoma.secrecy import _sum
 
@@ -314,6 +315,42 @@ def test_equal_slots_fit_the_frame_at_many_users(num):
     result = tdma_maxmin(channel, 0.3, 10.0, "equal_time")
     assert result.time.fractions == (1.0 / num,) * num
     assert result.rate > 0.0
+
+
+def test_user_rate_rejects_non_finite_gains():
+    # an infinite user gain read rate inf, an infinite eavesdropper gain 0.0
+    for gains in ((math.inf, 1.0), (5.0, math.inf), (math.nan, 1.0), (5.0, math.nan)):
+        with pytest.raises(ValueError, match="^gain and eavesdropper gain must be positive and finite$"):
+            tdma_user_rate(*gains, EPS_E1, 1.0, 0.5)
+
+
+def test_each_max_min_entry_computes_the_stringency_once(monkeypatch):
+    # one gate per call: the positive-rate test, the verdict and the solver
+    # share its phi, and compare_maxmin on two users gates once
+    calls = []
+    stringency = maxmin._stringency
+
+    def counted(*args):
+        calls.append(args)
+        return stringency(*args)
+
+    for module in (maxmin, tdma):
+        monkeypatch.setattr(module, "_stringency", counted)
+    infeasible = ChannelRealization((0.5, 10.0), 1.0)
+    cases = {
+        "bisection, infeasible": lambda: solve_maxmin_bisection(infeasible, EPS_E1, 1.0),
+        "two users, feasible": lambda: solve_maxmin_two_user(TWO_USER, EPS_E1, 1.0),
+        "two users, infeasible": lambda: solve_maxmin_two_user(infeasible, EPS_E1, 1.0),
+        "compare, K = 2": lambda: compare_maxmin(TWO_USER, EPS_E1, 1.0),
+        "compare, K = 3": lambda: compare_maxmin(ChannelRealization((5.0, 7.0, 10.0), 1.0), EPS_E1, 1.0),
+        "rate region": lambda: noma_rate_region_boundary(TWO_USER, EPS_E1, 1.0),
+    }
+    counts = {}
+    for name, call in cases.items():
+        calls.clear()
+        call()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(cases, 1)
 
 
 def test_user_rate_validation():

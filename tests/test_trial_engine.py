@@ -23,8 +23,7 @@ from secnoma import (
 )
 from secnoma import _draw, _rows, maxmin
 from secnoma._draw import _gains_from_uniforms, _trial_uniforms
-from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _maxmin_rows, _mean_stderr
-from secnoma.maxmin import _pow2_each
+from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _maxmin_rows, _mean_stderr, _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
 
