@@ -4,12 +4,18 @@ copy of either, so numpy's random module never loads. Every trial is keyed
 and drawn at once in whole-array arithmetic: row i of `_trial_uniforms` is
 `Generator(Philox(SeedSequence(seeds[i]))).random(K)` bit for bit. Philox
 is counter-based, so distinct keys give independent, reproducible streams.
+One row (`sample_realization`) is drawn on Python ints and floats by int
+twins of the state hash and the rounds, so it never loads numpy; the
+exponential transform is one body for floats and arrays.
 """
+import math
 import numbers
 
-import numpy as np
+# channel's lazy numpy binding: numpy loads when array code first runs
+from .channel import np
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _SEED_RANGE = "fading seeds must be integers in [0, 2**64)"
 _POOL_HASH = (0x43B0D7E5, 0x931E8875)  # SeedSequence INIT_A, MULT_A
 _STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # SeedSequence INIT_B, MULT_B
@@ -17,6 +23,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+
+
+def _is_seed(seed):
+    return isinstance(seed, numbers.Integral) and 0 <= seed < 2**64
 
 
 def _seed_array(seeds):
@@ -30,28 +40,36 @@ def _seed_array(seeds):
     # element by element: numpy would coerce a mix of large and negative
     # Python ints to float64 and silently round them
     flat = np.asarray(seeds, dtype=object).reshape(-1).tolist()
-    if not all(isinstance(s, numbers.Integral) and 0 <= s < 2**64 for s in flat):
+    if not all(map(_is_seed, flat)):
         raise ValueError(_SEED_RANGE)
     return np.array(flat, dtype=np.uint64)
 
 
-def _pool(entropy):
-    """SeedSequence's pool of its 32-bit entropy words, least significant
-    first: Python ints or uint32 arrays of one shape. The masks keep ints to
-    32 bits; on uint32 arrays they change nothing."""
-    # a missing word hashes as 0, in the entropy's own type
-    const, words = _POOL_HASH[0], [*entropy, *[0 * entropy[0]] * (4 - len(entropy))]
+def _hasher(init, mult):
+    """SeedSequence's hash of successive 32-bit words, Python ints or uint32
+    arrays: each word xor the hash constant, times its next step, xor its
+    own high half. The constant steps once per hash, whatever the data; the
+    masks keep ints to 32 bits and change nothing on uint32 arrays."""
+    const = init
 
     def hashmix(word):
-        # the hash constant steps once per hash, whatever the data
         nonlocal const
         value = word ^ const
-        const = const * _POOL_HASH[1] & _MASK32
+        const = const * mult & _MASK32
         value *= const
         value &= _MASK32
         value ^= value >> 16
         return value
 
+    return hashmix
+
+
+def _pool(entropy):
+    """SeedSequence's pool of its 32-bit entropy words, least significant
+    first: Python ints or uint32 arrays of one shape."""
+    # a missing word hashes as 0, in the entropy's own type
+    words = [*entropy, *[0 * entropy[0]] * (4 - len(entropy))]
+    hashmix = _hasher(*_POOL_HASH)
     pool = [hashmix(word) for word in words[:4]]
     # each pool word then mixes into every other; each later word into all four
     for src in range(len(words)):
@@ -163,15 +181,116 @@ def _block_uniforms(seeds, num):
     return (words[:, :num] >> 11) * 2.0**-53
 
 
-def _gains_from_uniforms(geometry, u):
-    """Sorted gains from an (N, K) block of uniforms: the exponential inverse
-    CDF at unit mean, the path-loss scale and the noise floor, computed in
-    one output array."""
-    # 1 - u is in (0, 1] for u in [0, 1), so the log never overflows
-    gains = np.negative(u)
-    np.log1p(gains, out=gains)
-    np.negative(gains, out=gains)
-    gains *= np.asarray(geometry.distances_user, dtype=float) ** (-geometry.path_loss_exponent)
+def _row_uniforms(seed, num):
+    """`_trial_uniforms` of the one seed, an int in [0, 2**64), as a list of
+    Python floats: the key is the state hash of the seed's pool, and each
+    128-bit Philox product is one int multiply."""
+    state = list(map(_hasher(*_STATE_HASH), _pool([seed & _MASK32, seed >> 32])))
+    key = (state[0] | state[1] << 32, state[2] | state[3] << 32)
+    words = []
+    for block in range(1, -(-num // 4) + 1):
+        (c0, c1, c2, c3), (k0, k1) = (block, 0, 0, 0), key
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+            p0, p2 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+            c0, c1, c2, c3 = (p2 >> 64) ^ c1 ^ k0, p2 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        words += (c0, c1, c2, c3)
+    return [(word >> 11) * 2.0**-53 for word in words[:num]]
+
+
+# fdlibm's e_log.c: ln 2 split so that k * _LN2_HI is exact for |k| < 2**11,
+# and the minimax coefficients of its log kernel
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_LG = (
+    6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01, 2.222219843214978396e-01,
+    1.818357216161805012e-01, 1.531383769920937332e-01, 1.479819860511658591e-01,
+)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _exponential(u, frexp):
+    """The unit-mean exponential draw -ln(1 - u) of uniforms u in [0, 1), on
+    Python floats with math.frexp or on arrays with np.frexp, bit for bit
+    alike: fdlibm's log of x = 1 - u, which is exact for the sampler's u =
+    k 2**-53. It takes only +, -, *, / and frexp, each exact or correctly
+    rounded, so it rounds the same on any IEEE machine (numpy's log1p is
+    SIMD-dispatched), and lies within 1 ulp of the exact value."""
+    # x = 2**k (1 + f) with 1 + f in [sqrt(1/2), sqrt(2)): f is exact.
+    # Each step updates a temporary of its own in place, which rebinds a
+    # float and spares an array its allocation.
+    m, k = frexp(1.0 - u)
+    low = m < _SQRT_HALF
+    f = m * low
+    f += m
+    f -= 1.0
+    k = k - low
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    # r = z (Lg1 + w (Lg3 + w (Lg5 + w Lg7))) + w (Lg2 + w (Lg4 + w Lg6))
+    r = w * _LG[6]
+    r += _LG[4]
+    r *= w
+    r += _LG[2]
+    r *= w
+    r += _LG[0]
+    r *= z
+    t = w * _LG[5]
+    t += _LG[3]
+    t *= w
+    t += _LG[1]
+    t *= w
+    r += t
+    # ln x = k ln2_hi - ((hfsq - (s (hfsq + r) + k ln2_lo)) - f), negated
+    hfsq = f * f
+    hfsq *= 0.5
+    r += hfsq
+    r *= s
+    r += k * _LN2_LO
+    hfsq -= r
+    hfsq -= f
+    hfsq -= k * _LN2_HI
+    return hfsq
+
+
+# The transform's temporaries, about a dozen arrays of its input's size, are
+# bounded by taking it this many elements at a time.
+_TRANSFORM_CHUNK = 4096
+
+
+def _exponentials(u):
+    """`_exponential` of an array of uniforms, as a new array of its shape,
+    _TRANSFORM_CHUNK elements at a time."""
+    flat = u.reshape(-1)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _TRANSFORM_CHUNK):
+        out[start : start + _TRANSFORM_CHUNK] = _exponential(flat[start : start + _TRANSFORM_CHUNK], np.frexp)
+    return out.reshape(u.shape)
+
+
+def _path_gains(geometry):
+    """Each user's path gain d**-alpha, as Python floats."""
+    alpha = float(geometry.path_loss_exponent)
+    return [float(d) ** -alpha for d in geometry.distances_user]
+
+
+def _gains_from_draws(geometry, draws):
+    """Sorted gains, as a new (N, K) array, from the first K columns of an
+    (N, >= K) block of unit-mean exponential draws: each times its user's
+    path gain, over the noise floor."""
+    gains = draws[:, : geometry.num_users] * np.array(_path_gains(geometry))
     gains /= geometry.noise_user_mw
     gains.sort(axis=1)
     return gains
+
+
+def _realization_gains(geometry, seed):
+    """Row 0 of `_gains_from_draws(geometry, _exponentials(_trial_uniforms(
+    [seed], K)))`, bit for bit, as a sorted tuple of Python floats drawn
+    without numpy."""
+    if not _is_seed(seed):
+        raise ValueError(_SEED_RANGE)
+    noise = float(geometry.noise_user_mw)
+    draws = (_exponential(u, math.frexp) for u in _row_uniforms(int(seed), geometry.num_users))
+    return tuple(sorted(e * g / noise for e, g in zip(draws, _path_gains(geometry))))

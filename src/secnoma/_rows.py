@@ -52,6 +52,13 @@ def _log2_each(x):
     return np.fromiter(map(math.log2, memoryview(x.ravel())), float, x.size).reshape(x.shape)
 
 
+def _bracket_tops(weakest, power_budget_mw):
+    """`_bracket_top` of each row's weakest gain, +inf where the product
+    overflows: `_lockstep` raises on such a row once it is to be solved."""
+    with np.errstate(over="ignore"):
+        return _log2_each(1.0 + weakest * power_budget_mw)
+
+
 def _seed_rows(gains, phi, pad, power_budget_mw, hi, q):
     """`_seed` on every row, with numpy's log2: the seed only places the
     window, so it need not round like the exact test. A row of two users
@@ -193,11 +200,12 @@ def _replay(bounds, lo_e, hi_e, tol, narrow, q, move, step):
 _SCALAR_ROWS = 32
 
 
-def _maxmin_rows(gains, phi, power_budget_mw, tol):
+def _maxmin_rows(gains, phi, power_budget_mw, tol, hi=None):
     """The (3, M) max-min, optimal-time TDMA and equal-time TDMA rates of
     every row of an (M, K) gain matrix, with one stringency per row in phi,
     equal bit for bit to `solve_maxmin_bisection`'s and `tdma_maxmin`'s;
-    every row's weakest gain must clear its phi.
+    every row's weakest gain must clear its phi. hi, if given, holds each
+    row's `_bracket_tops`.
 
     A row with fewer than K users holds its gains, ascending, in its last
     columns and +inf in the leading ones. Fewer than _SCALAR_ROWS rows are
@@ -214,15 +222,15 @@ def _maxmin_rows(gains, phi, power_budget_mw, tol):
             _bracket_top(g[0], power_budget_mw)  # every bracket before any bisection
         rates = np.array([_maxmin(g, f, power_budget_mw, tol)[:3] for g, f in rows]).reshape(-1, 3).T
     else:
-        rates = _lockstep(gains, phi, power_budget_mw, tol)
+        rates = _lockstep(gains, phi, power_budget_mw, tol, hi)
     if not (rates[0] > 0.0).all():
         raise ValueError(_TOO_COARSE)
     return rates
 
 
-def _lockstep(gains, phi, power_budget_mw, tol):
-    """`_maxmin_rows`' rates of all rows at once; max-min rate 0.0 for a row
-    that accepted no floor.
+def _lockstep(gains, phi, power_budget_mw, tol, hi=None):
+    """`_maxmin_rows`' rates of all rows at once, with its bracket tops in
+    hi, if given; max-min rate 0.0 for a row that accepted no floor.
 
     Each row keeps its own bracket, a column of one (2, M) array of (lo,
     hi). A floor is accepted by raising lo to it, so lo is the last accepted
@@ -236,7 +244,8 @@ def _lockstep(gains, phi, power_budget_mw, tol):
     pad = pad[:, : int(pad.any(axis=0).sum())]  # padding is a column prefix
     weakest = _min(gains.T)
     _bracket_top(float(weakest.max(initial=0.0)), power_budget_mw)  # raises if any row's top overflows
-    hi = _log2_each(1.0 + weakest * power_budget_mw)
+    if hi is None:
+        hi = _bracket_tops(weakest, power_budget_mw)
     # the optimal-time TDMA rate is a feasible floor
     floor, rate_eq = _tdma_maxmin_rows(gains, phi, power_budget_mw)
     narrow = _can_stall(tol, float(hi.max(initial=0.0)))
@@ -301,42 +310,45 @@ _BATCH_ROWS = 4096
 def _maxmin_rates_per_trial(points, p, tol):
     """Yield, for each axis point taken in order as (sorted (N, K) gain
     matrix, phi), its zero-filled (3, N) per-trial rates for the three
-    schemes and its feasibility flags.
+    schemes and its feasibility flags. A point may add, as a third item,
+    each trial's bracket top (see `_maxmin_rows`); then every point must.
 
     Consecutive points share one solve of at most _BATCH_ROWS feasible
     rows; a point with more is solved alone. Points are read and yielded one
     batch at a time, so only one batch is held in memory.
     """
     batch, size = [], 0
-    for gains, phi in points:
+    for gains, phi, *tops in points:
         # infeasible realizations contribute zero rate
         feasible = gains[:, 0] > phi
         count = int(np.count_nonzero(feasible))
         if batch and size + count > _BATCH_ROWS:
             yield from _solve_batch(batch, p, tol)
             batch, size = [], 0
-        batch.append((gains[feasible], phi, feasible))
+        batch.append((gains[feasible], phi, feasible, [top[feasible] for top in tops]))
         size += count
     if batch:
         yield from _solve_batch(batch, p, tol)
 
 
 def _solve_batch(batch, p, tol):
-    """Solve the feasible rows of a batch of (rows, phi, feasible) points in
-    one call of `_maxmin_rows` and yield each point's rates and flags. Rows
-    with fewer users than the widest point that has rows sit in the last
-    columns, +inf to their left."""
-    counts = [len(rows) for rows, _, _ in batch]
-    width = max((rows.shape[1] for rows, _, _ in batch if len(rows)), default=1)
+    """Solve the feasible rows of a batch of (rows, phi, feasible, [their
+    bracket tops] or []) points in one call of `_maxmin_rows` and yield each
+    point's rates and flags. Rows with fewer users than the widest point
+    that has rows sit in the last columns, +inf to their left."""
+    counts = [len(rows) for rows, _, _, _ in batch]
+    width = max((rows.shape[1] for rows, _, _, _ in batch if len(rows)), default=1)
     stacked = np.full((sum(counts), width), np.inf)
-    phi = np.repeat([phi for _, phi, _ in batch], counts)
+    phi = np.repeat([phi for _, phi, _, _ in batch], counts)
+    tops = [top for _, _, _, point_tops in batch for top in point_tops]
+    hi = np.concatenate(tops) if tops else None
     start = 0
-    for rows, _, _ in batch:
+    for rows, _, _, _ in batch:
         if len(rows):
             stacked[start : start + len(rows), width - rows.shape[1] :] = rows
             start += len(rows)
-    solved = _maxmin_rows(stacked, phi, p, tol)
-    for (_, _, feasible), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
+    solved = _maxmin_rows(stacked, phi, p, tol, hi)
+    for (_, _, feasible, _), block in zip(batch, np.split(solved, np.cumsum(counts)[:-1], axis=1)):
         rates = np.zeros((3, len(feasible)))
         rates[:, feasible] = block
         yield rates, feasible

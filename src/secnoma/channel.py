@@ -66,8 +66,9 @@ class NetworkGeometry:
             raise ValueError("eavesdropper distance must be positive and finite")
         if not (self.path_loss_exponent > 0):
             raise ValueError("path-loss exponent must be positive")
-        if not (self.noise_user_mw > 0 and self.noise_eaves_mw > 0):
-            raise ValueError("noise powers must be positive")
+        for noise in (self.noise_user_mw, self.noise_eaves_mw):
+            if not (noise > 0 and math.isfinite(noise)):
+                raise ValueError("noise powers must be positive and finite")
         # the sampler scales a draw by the path gain d**-alpha, then divides
         # by the noise: both steps must stay finite for the largest draw
         floor = min(self.noise_user_mw, self.noise_eaves_mw)
@@ -146,20 +147,21 @@ def sample_trial_gains(geometry: NetworkGeometry, seeds) -> np.ndarray:
     Row i is drawn from `Philox(SeedSequence(seeds[i]))`, numpy's stream;
     seeds must be integers in [0, 2**64).
     """
-    from ._draw import _gains_from_uniforms, _seed_array, _trial_uniforms
+    from ._draw import _exponentials, _gains_from_draws, _seed_array, _trial_uniforms
 
-    return _gains_from_uniforms(geometry, _trial_uniforms(_seed_array(seeds), geometry.num_users))
+    return _gains_from_draws(geometry, _exponentials(_trial_uniforms(_seed_array(seeds), geometry.num_users)))
 
 
 def sample_realization(geometry: NetworkGeometry, seed: int) -> ChannelRealization:
     """Draw one Rayleigh realization for the given geometry.
 
     Identical (geometry, seed) pairs reproduce bit-identical realizations:
-    row 0 of `sample_trial_gains(geometry, [seed])`. Each call pays the array
-    kernel's fixed cost, so draw many seeds at once with `sample_trial_gains`.
+    row 0 of `sample_trial_gains(geometry, [seed])`, drawn on Python ints and
+    floats, so the call never loads numpy.
     """
-    gains = sample_trial_gains(geometry, [seed])[0]
-    return ChannelRealization(tuple(gains.tolist()), geometry.eaves_avg_gain())
+    from ._draw import _realization_gains
+
+    return ChannelRealization(_realization_gains(geometry, seed), geometry.eaves_avg_gain())
 
 
 def trial_seeds(seed: int, trials: int) -> np.ndarray:

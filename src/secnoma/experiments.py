@@ -212,7 +212,7 @@ def _run_beta_vs_eps(spec):
 
 
 def _run_avg_rate_vs_eps(spec):
-    from ._rows import _avg_rate_rows, _maxmin_rates_per_trial
+    from ._rows import _avg_rate_rows, _bracket_tops, _maxmin_rates_per_trial
 
     num = int(spec.fixed.get("k", 2))
     geometry = _geometry(spec.fixed, num)
@@ -221,8 +221,10 @@ def _run_avg_rate_vs_eps(spec):
     # one realization per trial, shared across axis points: the eps trend is
     # then a per-trial monotone map and the average inherits it
     gains = sample_trial_gains(geometry, trial_seeds(spec.seed, spec.trials))
+    # and so is each trial's bracket top, taken once, not per point
+    tops = _bracket_tops(gains[:, 0], p)
     eps_values = spec.axis.values()
-    points = ((gains, _stringency(geometry.eaves_avg_gain(), eps)) for eps in eps_values)
+    points = ((gains, _stringency(geometry.eaves_avg_gain(), eps), tops) for eps in eps_values)
     rows = []
     for eps, (rates, feasible) in zip(eps_values, _maxmin_rates_per_trial(points, p, tol)):
         _avg_rate_rows(rows, eps, spec, rates, feasible)
@@ -230,7 +232,7 @@ def _run_avg_rate_vs_eps(spec):
 
 
 def _run_gain_vs_k(spec):
-    from ._draw import _gains_from_uniforms, _trial_uniforms
+    from ._draw import _exponentials, _gains_from_draws, _trial_uniforms
     from ._rows import _avg_rate_rows, _maxmin_rates_per_trial
 
     eps = spec.fixed["eps"]
@@ -243,13 +245,13 @@ def _run_gain_vs_k(spec):
             raise ValueError("user-count axis must hold positive integers")
         counts.append(num)
     # same per-trial seed for every K: draws nest, so one draw at the largest
-    # count serves every K through its column prefix, and adjacent K share noise
-    uniforms = _trial_uniforms(trial_seeds(spec.seed, spec.trials), max(counts))
+    # count, transformed once, serves every K through its column prefix, and
+    # adjacent K share noise
+    draws = _exponentials(_trial_uniforms(trial_seeds(spec.seed, spec.trials), max(counts)))
 
     def point(num):
         geometry = _geometry(spec.fixed, num)
-        gains = _gains_from_uniforms(geometry, uniforms[:, :num])
-        return gains, _stringency(geometry.eaves_avg_gain(), eps)
+        return _gains_from_draws(geometry, draws), _stringency(geometry.eaves_avg_gain(), eps)
 
     rows = []
     for num, (rates, feasible) in zip(counts, _maxmin_rates_per_trial(map(point, counts), p, tol)):

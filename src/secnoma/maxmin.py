@@ -184,7 +184,7 @@ def _tdma_rates(gains, phi, p):
 # 2e-15 on random instances with K = 1..8 and gains over twelve decades).
 _WINDOW = 1e-11
 _NEWTON_EVALS = 16
-_NEWTON_STOP = 1e-13
+_NEWTON_STOP = 1e-11
 _LN2 = math.log(2.0)
 
 

@@ -237,9 +237,29 @@ def empirical_outage(
     return hits / trials
 
 
+def numpy_uniforms(seed, num):
+    """The first num doubles of the documented stream, built by numpy
+    itself: one Philox keyed by SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))).random(num)
+
+
 def numpy_gains(geometry, seed):
-    """Sorted normalized gains of one draw, from the documented stream built
-    by numpy itself: one Philox keyed by SeedSequence(seed)."""
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))).random(geometry.num_users)
-    scale = np.asarray(geometry.distances_user) ** (-geometry.path_loss_exponent)
-    return np.sort(scale * (-1.0 * np.log1p(-u)) / geometry.noise_user_mw)
+    """Bounds (lo, hi) on the sorted normalized gains of one draw: numpy's
+    own uniforms u, each unit-mean exponential -log1p(-u) by numpy's log1p
+    taken 1 ulp down and 1 ulp up, times d**-alpha on Python floats, over
+    the noise floor. A log within 1 ulp of numpy's, however numpy's rounds
+    on this CPU, lands between them: each step rounds monotonically, and
+    sorting keeps bounds on every order statistic."""
+    draws = -np.log1p(-numpy_uniforms(seed, geometry.num_users))
+    scale = np.array([float(d) ** -float(geometry.path_loss_exponent) for d in geometry.distances_user])
+    return tuple(
+        np.sort(np.nextafter(draws, toward) * scale / geometry.noise_user_mw) for toward in (0.0, np.inf)
+    )
+
+
+def near_numpy_gains(gains, geometry, seed):
+    """Whether sorted gains, an array or a sequence, lie within
+    `numpy_gains`' bounds."""
+    lo, hi = numpy_gains(geometry, seed)
+    gains = np.asarray(gains)
+    return bool(((lo <= gains) & (gains <= hi)).all())

@@ -1,10 +1,11 @@
+import decimal
 import hashlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secnoma import (
@@ -19,6 +20,7 @@ from secnoma import (
     trial_seeds,
 )
 from secnoma import _draw
+from secnoma.channel import _LARGEST_DRAW
 
 
 def test_db_conversions():
@@ -55,8 +57,9 @@ def test_geometry_validation():
         NetworkGeometry((50.0,), -1.0, 4.0, 1e-7, 1e-7)
     with pytest.raises(ValueError):
         NetworkGeometry((50.0,), 80.0, 0.0, 1e-7, 1e-7)
-    with pytest.raises(ValueError):
-        NetworkGeometry((50.0,), 80.0, 4.0, 0.0, 1e-7)
+    for noise in ((0.0, 1e-7), (math.inf, 1e-7), (1e-7, math.inf)):
+        with pytest.raises(ValueError, match="^noise powers must be positive and finite$"):
+            NetworkGeometry((50.0,), 80.0, 4.0, *noise)
     # path gains d**-alpha the sampler cannot scale: overflowing, zero, not
     # finite over the noise floor, not finite times the largest unit-mean draw
     message = "^path gains d\\*\\*-alpha must be positive and finite over the noise floor$"
@@ -110,10 +113,35 @@ def test_gain_matrix_matches_per_trial_statistics():
 
 
 def test_gain_matrix_is_frozen():
-    # the per-trial streams and gain transform, bit for bit
+    # the per-trial streams and gain transform, bit for bit; the same on any
+    # CPU, since the transform takes no SIMD-dispatched loop
     geom = NetworkGeometry((30.0, 80.0, 50.0), 80.0, 4.0, 1e-7, 1e-7)
     digest = hashlib.sha256(sample_trial_gains(geom, trial_seeds(7, 1000)).tobytes()).hexdigest()
-    assert digest == "2134a563c93584a6ba9b77d2a39a720dd0c9bd1c44458eb1d0efa1326281f991"
+    assert digest == "49f5abd6211fb799a7c2d33bc78a14f6400dd27559247b715c2a848fb3a86a72"
+
+
+# the uniforms k 2**-53 at u = 0, 2**-53, sqrt(1/2) (1 - u normalizes
+# across sqrt(1/2) near 0.29), 1 - sqrt(1/2), and 1 - 2**-53
+_EDGE_KS = [0, 1, round(math.sqrt(0.5) * 2**53), round((1 - math.sqrt(0.5)) * 2**53), 2**53 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+@example(ks=[k + d for k in _EDGE_KS for d in (-1, 0, 1) if 0 <= k + d < 2**53])
+@example(ks=list(range(7, 2**53, 2**53 // (2 * _draw._TRANSFORM_CHUNK + 1))))  # past two chunk boundaries
+def test_exponential_transform_is_within_an_ulp_on_floats_and_arrays(ks):
+    # -ln(1 - u) by +, -, *, / and frexp: its float and array forms agree
+    # bit for bit, on any CPU, and stay within 1 ulp of 60 digits
+    u = [k * 2.0**-53 for k in ks]
+    floats = [_draw._exponential(x, math.frexp) for x in u]
+    assert np.array(floats).tobytes() == _draw._exponentials(np.array(u)).tobytes()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for x, got in zip(u, floats):
+            exact = -(1 - decimal.Decimal(x)).ln()
+            assert abs(decimal.Decimal(got) - exact) <= decimal.Decimal(math.ulp(got))
+    # the largest draw, which the geometry checks bound the path gains by
+    assert _draw._exponential(1.0 - 2.0**-53, math.frexp) == _LARGEST_DRAW
 
 
 def test_normalized_gain_is_unit_exponential():

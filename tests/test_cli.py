@@ -24,7 +24,7 @@ from secnoma import (
 from secnoma._lazy import lazy_module
 from secnoma.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE
 
-from oracles import numpy_gains
+from oracles import near_numpy_gains
 
 # dB encodings of the (5, 10) worked instance with unit eavesdropper gain
 GAINS_DB = "6.989700043360187,10"
@@ -196,6 +196,30 @@ def test_overflowing_path_gain_is_one_line_error(tmp_path, args, config):
     rc, out, err = run_cli(*args)
     assert rc == EXIT_USAGE and out == ""
     assert err == "error: path gains d**-alpha must be positive and finite over the noise floor\n"
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (("max-min-rate", "--num-users", "2", "--d-user=50", "--d-eave=80", "--noise-dbm", "inf",
+          "--p-dbm", "20", "--eps", "0.3"), None),
+        (("sweep",), "kind = avg_rate_vs_eps\naxis = eps\naxis_start = 0.1\naxis_stop = 0.3\nd_user = 50\n"
+                     "noise_dbm = inf\n"),
+        (("sweep",), "kind = gain_vs_K\naxis = k\naxis_start = 2\naxis_stop = 3\neps = 0.1\nd_user = 50\n"
+                     "eaves_noise_dbm = inf\n"),
+    ],
+    ids=["max-min-rate", "avg_rate_vs_eps", "gain_vs_K"],
+)
+def test_infinite_noise_is_one_line_error(tmp_path, args, config):
+    # an infinite noise floor made every gain 0: the sweeps wrote a CSV of
+    # zero rates and exited 0
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config + _FADING_SPEC)
+        args += ("--config", str(tmp_path / "sweep.cfg"), "--out", str(tmp_path / "x.csv"))
+    rc, out, err = run_cli(*args)
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: noise powers must be positive and finite\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_without_tdma_rate_is_one_line_error():
@@ -532,10 +556,10 @@ def test_geometry_path_is_seeded(tmp_path):
     assert json.loads(out1)["gains"] != json.loads(out3)["gains"]
 
 
-def _numpy_realization(geometry, seed):
+def _is_numpy_realization(channel, geometry, seed):
     # numpy's own generator: the CLI draws through sample_realization, so a
     # check against that would compare the draw with itself
-    return ChannelRealization(tuple(numpy_gains(geometry, seed).tolist()), geometry.eaves_avg_gain())
+    return channel.eaves_avg_gain == geometry.eaves_avg_gain() and near_numpy_gains(channel.user_gains, geometry, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 4, 2**64 - 1])
@@ -544,7 +568,7 @@ def test_geometry_path_draws_the_library_realization(seed):
     args = parser.parse_args(["max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
                               "--p-dbm", "20", "--eps", "0.3", "--seed", str(seed)])
     geometry = NetworkGeometry((50.0,) * 3, 80.0, 4.0, dbm_to_mw(-70.0), dbm_to_mw(-70.0))
-    assert secnoma.cli._channel_from_args(args, parser) == _numpy_realization(geometry, seed)
+    assert _is_numpy_realization(secnoma.cli._channel_from_args(args, parser), geometry, seed)
 
 
 _GEOMETRY_ARGS = ["min-power", "--num-users", "3", "--d-user", "40", "--d-eave", "90",
@@ -564,7 +588,7 @@ def test_geometry_options_reach_the_draw(options, alpha, noise_dbm, eaves_noise_
     parser = secnoma.cli.build_parser()
     args = parser.parse_args(_GEOMETRY_ARGS + options)
     geometry = NetworkGeometry((40.0,) * 3, 90.0, alpha, dbm_to_mw(noise_dbm), dbm_to_mw(eaves_noise_dbm))
-    assert secnoma.cli._channel_from_args(args, parser) == _numpy_realization(geometry, 7)
+    assert _is_numpy_realization(secnoma.cli._channel_from_args(args, parser), geometry, 7)
 
 
 def test_min_power_matches_oracle_after_db_round_trip():
@@ -602,6 +626,8 @@ _FIXED_SPECS = [
     path for path in sorted(_SPECS_DIR.glob("*.spec"))
     if secnoma.cli._read_config(path)["kind"] in ("power_vs_Q", "rate_vs_P", "beta_vs_eps")
 ]
+_GEOMETRY_CALL = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
+                  "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
 _SCALAR_CASES = {
     "import": ("import secnoma\n",),
     "help": (_RUN_CLI, "--help"),
@@ -612,6 +638,8 @@ _SCALAR_CASES = {
         _RUN_CLI, "compare-oma", "--gains-db", GAINS_DB, "--eaves-db", "0", "--p-dbm", "0", "--eps", EPS, "--json"
     ),
     **{f"sweep-{path.stem}": (_RUN_CLI, "sweep", "--config", str(path)) for path in _FIXED_SPECS},
+    # one draw is taken on Python ints and floats
+    "max-min-rate-geometry": (_RUN_CLI, *_GEOMETRY_CALL),
 }
 
 
@@ -638,14 +666,9 @@ def test_scalar_calls_never_import_numpy(case, tmp_path):
 
 
 def test_array_calls_import_numpy(tmp_path):
-    # the positive control: the same probe sees numpy where array code runs
-    geometry = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
-                "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
-    loaded, _ = modules_after(tmp_path, _RUN_CLI, *geometry)
-    assert "numpy._core" in loaded
-    # the draw and the root's sub-seeds are the package's own SeedSequence
+    # the positive control: the same probe sees numpy where array code runs.
+    # The draws and the root's sub-seeds are the package's own SeedSequence
     # and Philox: no call loads numpy.random
-    assert "numpy.random" not in loaded
     for name in ("avg_rate_vs_eps", "gain_vs_users"):
         loaded, _ = modules_after(tmp_path, _RUN_CLI, "sweep", "--config", str(_SPECS_DIR / f"{name}.spec"))
         assert "numpy._core" in loaded and "numpy.random" not in loaded
@@ -690,14 +713,10 @@ print(json.dumps([globals().get("status", 0), sorted(m for m in sys.modules if m
 """
 
 
-_GEOMETRY_CALL = ("max-min-rate", "--num-users", "3", "--d-user", "50", "--d-eave", "80",
-                  "--seed", "11", "--p-dbm", "20", "--eps", "0.3")  # a feasible draw
-
-
 @pytest.mark.parametrize("case", _SOLVER_MODULES)
 def test_each_call_loads_only_its_modules(case, tmp_path):
     fading = {f"sweep-{name}": (_RUN_CLI, "sweep", "--config", str(_SPECS_DIR / f"{name}.spec")) for name in _FADING_SPECS}
-    code, *args = {**_SCALAR_CASES, **fading, "max-min-rate-geometry": (_RUN_CLI, *_GEOMETRY_CALL)}[case]
+    code, *args = {**_SCALAR_CASES, **fading}[case]
     proc = subprocess.run(
         [sys.executable, "-c", code + _PACKAGE_REPORT, *args], cwd=tmp_path, capture_output=True, text=True
     )

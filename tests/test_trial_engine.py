@@ -22,12 +22,12 @@ from secnoma import (
     trial_seeds,
 )
 from secnoma import _draw, _rows, maxmin
-from secnoma._draw import _gains_from_uniforms, _trial_uniforms
+from secnoma._draw import _exponentials, _gains_from_draws, _row_uniforms, _trial_uniforms
 from secnoma._rows import _log2_each, _maxmin_rates_per_trial, _maxmin_rows, _mean_stderr, _pow2_each
 from secnoma.power_min import _recursion
 from secnoma.secrecy import _stringency, _sum
 
-from oracles import numpy_gains
+from oracles import near_numpy_gains, numpy_uniforms
 
 USER_COUNTS = range(1, 9)
 
@@ -60,13 +60,21 @@ def test_pool_of_word_arrays_equals_numpy_pool():
 def test_trial_gains_rows_equal_single_draws(num):
     geometry = _geometry(num)
     seeds = _seeds(1000 + num, 1000)
+    uniforms = _trial_uniforms(seeds, num)
     gains = sample_trial_gains(geometry, seeds)
     assert gains.shape == (len(seeds), num)
-    for row, seed in zip(gains, seeds.tolist()):
-        assert row.tobytes() == numpy_gains(geometry, seed).tobytes()
-    # the single draw, against numpy's generator rather than the kernel it runs
+    # numpy's uniforms bit for bit; its gains within 1 ulp of each draw,
+    # since numpy's log1p rounds by the CPU's SIMD loop
+    for u, row, seed in zip(uniforms, gains, seeds.tolist()):
+        assert u.tobytes() == numpy_uniforms(seed, num).tobytes()
+        assert near_numpy_gains(row, geometry, seed)
+    # the single draw: on Python ints and floats, the batch's row bit for
+    # bit, and checked against numpy's generator rather than that row
     for seed in EDGE_SEEDS:
-        assert sample_realization(geometry, seed).user_gains == tuple(numpy_gains(geometry, seed).tolist())
+        assert _row_uniforms(seed, num) == numpy_uniforms(seed, num).tolist()
+        single = sample_realization(geometry, seed).user_gains
+        assert single == tuple(sample_trial_gains(geometry, [seed])[0].tolist())
+        assert near_numpy_gains(np.array(single), geometry, seed)
 
 
 def test_trial_gains_follow_trial_order():
@@ -78,12 +86,13 @@ def test_trial_gains_follow_trial_order():
 
 
 def test_prefix_draw_equals_draw_at_each_count():
-    # gain_vs_K draws once at the largest count and slices each smaller one
+    # gain_vs_K draws and transforms once at the largest count and slices
+    # each smaller one
     seeds = _seeds(78, 300)
-    uniforms = _trial_uniforms(seeds, max(DRAW_COUNTS))
+    draws = _exponentials(_trial_uniforms(seeds, max(DRAW_COUNTS)))
     for num in DRAW_COUNTS:
         geometry = _geometry(num)
-        prefix = _gains_from_uniforms(geometry, uniforms[:, :num])
+        prefix = _gains_from_draws(geometry, draws)
         assert prefix.tobytes() == sample_trial_gains(geometry, seeds).tobytes()
 
 
@@ -204,13 +213,19 @@ def _check_points(points, eaves, p, tol=1e-10):
 
 
 @pytest.mark.parametrize("num", USER_COUNTS)
-def test_rates_per_trial_equal_scalar_solvers(num):
+def test_rates_per_trial_equal_scalar_solvers(num, monkeypatch):
     # several eps in one call: one stringency per row of the shared solve
     rng = np.random.default_rng(num)
     gains = _random_gains(num, 250, rng)
     for p in (0.01, 1.0, 100.0):
         counts = _check_points([(gains, eps) for eps in (0.05, 0.2, 0.4)], 2.0, p)
         assert all(0 < c < len(gains) for c in counts)  # infeasible rows are covered
+        # the rows' bracket tops taken once and passed in, as avg_rate_vs_eps does
+        monkeypatch.setattr(_rows, "_SCALAR_ROWS", 0)
+        points = [(gains, _stringency(2.0, eps)) for eps in (0.05, 0.2, 0.4)]
+        topped = [(*point, _rows._bracket_tops(gains[:, 0], p)) for point in points]
+        for got, want in zip(_maxmin_rates_per_trial(topped, p, 1e-10), _maxmin_rates_per_trial(points, p, 1e-10)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_rates_per_trial_ragged_user_counts():
@@ -286,9 +301,7 @@ def test_draw_blocks_join_bit_for_bit():
     seeds = trial_seeds(79, _draw._DRAW_BLOCK + 3)
     uniforms = _trial_uniforms(seeds, 5)
     assert uniforms.shape == (len(seeds), 5)
-    expected = np.array(
-        [np.random.Generator(np.random.Philox(np.random.SeedSequence(s))).random(5) for s in seeds.tolist()]
-    )
+    expected = np.array([numpy_uniforms(s, 5) for s in seeds.tolist()])
     assert uniforms.tobytes() == expected.tobytes()
 
 
