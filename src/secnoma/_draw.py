@@ -4,9 +4,9 @@ copy of either, so numpy's random module never loads. Every trial is keyed
 and drawn at once in whole-array arithmetic: row i of `_trial_uniforms` is
 `Generator(Philox(SeedSequence(seeds[i]))).random(K)` bit for bit. Philox
 is counter-based, so distinct keys give independent, reproducible streams.
-One row (`sample_realization`) is drawn on Python ints and floats by int
-twins of the state hash and the rounds, so it never loads numpy; the
-exponential transform is one body for floats and arrays.
+One row (`sample_realization`) is drawn on Python ints and floats, so it
+never loads numpy: the Philox rounds and the exponential transform are one
+body for ints or floats and arrays, and the state hash runs one word at a time.
 """
 import math
 import numbers
@@ -119,27 +119,45 @@ def _philox_keys(seeds):
     return _generate_state(np.stack(pool, axis=1)).T[:, :, None]
 
 
-def _mulhilo(a, b, b_lo, b_hi):
-    """High and low 64 bits of the 128-bit products a * b, from 32-bit halves
-    (b_lo, b_hi of b)."""
-    a_lo, a_hi = a & _MASK32, a >> 32
+def _mulhilo(m, c):
+    """High and low 64 bits of the 128-bit products m * c of the int
+    constant m and a uint64 array c, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    c_lo, c_hi = c & _MASK32, c >> 32
     # (lo_lo >> 32) + (hi_lo & MASK) + lo_hi is at most (2**32 - 1)**2
     # + 2 (2**32 - 1) = 2**64 - 1, so the middle sum cannot wrap
-    middle = a_lo * b_hi
-    a_lo *= b_lo
-    a_lo >>= 32
-    middle += a_lo
-    high = a_hi * b_hi
-    a_hi *= b_lo
-    middle += a_hi & _MASK32
-    a_hi >>= 32
-    high += a_hi
+    middle = c_lo * m_hi
+    c_lo *= m_lo
+    c_lo >>= 32
+    middle += c_lo
+    high = c_hi * m_hi
+    c_hi *= m_lo
+    middle += c_hi & _MASK32
+    c_hi >>= 32
+    high += c_hi
     middle >>= 32
     high += middle
-    return high, a * b
+    return high, c * m
 
 
-# Trials keyed and drawn together: the rounds' temporaries take about 180
+def _philox(counter, key, mulhilo):
+    """The four words (c0, c1, c2, c3) of Philox4x64-10 on the counter
+    (counter, 0, 0, 0) under key (k0, k1), one lane at a time: Python ints
+    or broadcasting uint64 arrays, with `mulhilo(m, c)` the high and low
+    words of the 128-bit product. Ints are not reduced: the keys grow past
+    64 bits, so mulhilo masks its input, and c0 and c2 need a mask."""
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    k0, k1 = key
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = mulhilo(_PHILOX_M[0], c0)
+        hi2, lo2 = mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi2 ^ c1 ^ k0, lo2, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+# Trials keyed and drawn together: the rounds' temporaries take about 130
 # bytes a trial for every four uniforms, so a block of this many trials
 # bounds them at a few MB instead of growing with the trial count.
 _DRAW_BLOCK = 16384
@@ -162,22 +180,10 @@ def _trial_uniforms(seeds, num):
 
 def _block_uniforms(seeds, num):
     """`_trial_uniforms` on one block of seeds, all at once."""
-    key = _philox_keys(seeds)
-    mult, weyl = (np.array(c, dtype=np.uint64).reshape(2, 1, 1) for c in (_PHILOX_M, _PHILOX_W))
-    mult_lo, mult_hi = mult & _MASK32, mult >> 32
-    blocks = -(-num // 4)
-    # the four counter words as (even, odd) = ((c0, c2), (c1, c3)); numpy
-    # increments the counter before each block, so block b runs on b + 1
-    even = np.zeros((2, seeds.size, blocks), dtype=np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key = key + weyl
-        high, low = _mulhilo(even, mult, mult_lo, mult_hi)
-        even, odd = high[::-1] ^ odd ^ key, low[::-1]
+    # numpy increments the counter before each block, so block b runs on b + 1
+    blocks = np.arange(1, -(-num // 4) + 1, dtype=np.uint64)
     # each block yields c0, c1, c2, c3 in turn
-    words = np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(seeds.size, 4 * blocks)
+    words = np.stack(_philox(blocks, _philox_keys(seeds), _mulhilo), axis=-1).reshape(seeds.size, 4 * blocks.size)
     return (words[:, :num] >> 11) * 2.0**-53
 
 
@@ -189,14 +195,8 @@ def _row_uniforms(seed, num):
     key = (state[0] | state[1] << 32, state[2] | state[3] << 32)
     words = []
     for block in range(1, -(-num // 4) + 1):
-        (c0, c1, c2, c3), (k0, k1) = (block, 0, 0, 0), key
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-            p0, p2 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
-            c0, c1, c2, c3 = (p2 >> 64) ^ c1 ^ k0, p2 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
-        words += (c0, c1, c2, c3)
-    return [(word >> 11) * 2.0**-53 for word in words[:num]]
+        words += _philox(block, key, lambda m, c: divmod(m * (c & _MASK64), 1 << 64))
+    return [((word & _MASK64) >> 11) * 2.0**-53 for word in words[:num]]
 
 
 # fdlibm's e_log.c: ln 2 split so that k * _LN2_HI is exact for |k| < 2**11,

@@ -149,14 +149,14 @@ def _cmd_max_min_rate(args, parser):
 
 
 def _cmd_compare_oma(args, parser):
-    from .maxmin import _gate
+    from .maxmin import _gate, _positive_rate_verdict
     from .tdma import compare_maxmin
 
     channel = _channel_from_args(args, parser)
     p_mw = dbm_to_mw(args.p_dbm)
-    verdict = _gate(channel, args.eps)[1]
-    if verdict is not None:
-        return _print_verdict(verdict, args.json)
+    phi, feasible = _gate(channel, args.eps)
+    if not feasible:
+        return _print_verdict(_positive_rate_verdict(channel, phi), args.json)
     result = compare_maxmin(channel, args.eps, p_mw)
     payload = {
         "feasible": True,

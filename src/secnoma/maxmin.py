@@ -39,18 +39,19 @@ class MaxMinSolution:
 
 def check_positive_rate_feasibility(channel: ChannelRealization, eps: float) -> bool:
     """A positive common rate exists iff every gain clears the stringency."""
-    return _gate(channel, eps)[1] is None
+    return bool(_gate(channel, eps)[1])
 
 
 def _gate(channel, eps):
-    """(phi, None) where the weakest gain clears the stringency phi (a positive
-    common rate exists), else (phi, the verdict naming each failing user)."""
+    """(phi, whether the weakest gain clears the stringency phi)."""
     phi = _stringency(channel.eaves_avg_gain, eps)
-    gains = channel.user_gains
-    if gains[0] > phi:
-        return phi, None
-    failing = frozenset(k for k, g in enumerate(gains, 1) if g <= phi)
-    return phi, InfeasibleVerdict(failing, InfeasibleReason.POSITIVE_RATE)
+    return phi, channel.user_gains[0] > phi
+
+
+def _positive_rate_verdict(channel, phi):
+    """The verdict naming each user whose gain does not clear phi."""
+    failing = frozenset(k for k, g in enumerate(channel.user_gains, 1) if g <= phi)
+    return InfeasibleVerdict(failing, InfeasibleReason.POSITIVE_RATE)
 
 
 def solve_maxmin_bisection(
@@ -69,9 +70,9 @@ def solve_maxmin_bisection(
     solve (see `_window`); the result is the plain bisection's.
     """
     _check_budget_and_tol(power_budget_mw, tol)
-    phi, verdict = _gate(channel, eps)
-    if verdict is not None:
-        return verdict
+    phi, feasible = _gate(channel, eps)
+    if not feasible:
+        return _positive_rate_verdict(channel, phi)
     gains = channel.user_gains
     rate, _, _, iterations = _maxmin(gains, phi, power_budget_mw, tol)
     if rate == 0.0:
@@ -306,9 +307,9 @@ def solve_maxmin_two_user(
     if channel.num_users != 2:
         raise ValueError("closed form is specific to two users")
     _check_budget(power_budget_mw)
-    phi, verdict = _gate(channel, eps)
-    if verdict is not None:
-        return verdict
+    phi, feasible = _gate(channel, eps)
+    if not feasible:
+        return _positive_rate_verdict(channel, phi)
     return _two_user(*channel.user_gains, phi, power_budget_mw)
 
 

@@ -143,8 +143,8 @@ def compare_maxmin(channel: ChannelRealization, eps: float, p_mw: float) -> MaxM
     since that would mean a solver bug rather than a modelling outcome.
     """
     _check_budget(p_mw)
-    phi, verdict = _gate(channel, eps)
-    if verdict is not None:
+    phi, feasible = _gate(channel, eps)
+    if not feasible:
         raise ValueError(_INFEASIBLE)
     gains = channel.user_gains
     if channel.num_users == 2:
@@ -192,8 +192,8 @@ def noma_rate_region_boundary(
     if samples < 3:
         raise ValueError("need at least 3 samples")
     _check_budget(p_mw)
-    phi, verdict = _gate(channel, eps)
-    if verdict is not None:
+    phi, feasible = _gate(channel, eps)
+    if not feasible:
         raise ValueError("instance infeasible: the region degenerates to the origin")
     g1, g2 = channel.user_gains
     p = float(p_mw)

@@ -5,7 +5,8 @@ stringency, enter the model. Scaling every user gain and the eavesdropper
 gain by c and the budget by 1/c therefore changes no decision; with c a
 power of two every float operation scales exactly, so the solvers must
 agree bit for bit. The two-user closed forms are written in those SNRs and
-ratios, so they must too.
+ratios, so they must too. And more budget or a looser outage bound never
+lowers a max-min rate, nor does a higher QoS floor lower a minimum power.
 """
 import math
 
@@ -28,7 +29,7 @@ from secnoma import (
     tdma_maxmin,
     tdma_min_power,
 )
-from secnoma.maxmin import DEFAULT_TOL
+from secnoma.maxmin import _TOO_COARSE, DEFAULT_TOL
 
 SHARE_TOL = 1e-13
 
@@ -153,3 +154,48 @@ def test_weak_user_share_grows_as_the_outage_bound_shrinks(instance):
     shares = [_weak_share(gains, eaves, eps, budget) for eps in (tight, loose)]
     assume(None not in shares)
     assert shares[0] >= shares[1]
+
+
+def _maxmin_rates(gains, eaves, eps, budget):
+    """The bisection's max-min rate, 0.0 where it certifies none, and the
+    equal- and optimal-time TDMA rates of one instance."""
+    channel = ChannelRealization(gains, eaves)
+    try:
+        solution = solve_maxmin_bisection(channel, eps, budget)
+    except ValueError as exc:
+        assert str(exc) == _TOO_COARSE
+        solution = None
+    rate = solution.rate if isinstance(solution, MaxMinSolution) else 0.0
+    return rate, *(tdma_maxmin(channel, eps, budget, mode).rate for mode in ("equal_time", "optimal_time"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_max_min_rates_do_not_fall_as_the_budget_or_the_outage_bound_grows(instance):
+    gains, eaves, _, eps, budget = instance
+    # eps is at most 0.6, so 1.2 eps stays an outage bound below 1
+    base = _maxmin_rates(gains, eaves, eps, budget)
+    for grown in (_maxmin_rates(gains, eaves, eps, 1.5 * budget), _maxmin_rates(gains, eaves, 1.2 * eps, budget)):
+        # the bisection certifies its rate only to within its tolerance
+        assert grown[0] + DEFAULT_TOL >= base[0]
+        assert grown[1] >= base[1] and grown[2] >= base[2]
+
+
+def _min_powers(gains, eaves, q, eps):
+    """The superposition and equal-slot TDMA minimum powers of one
+    instance, inf where it is infeasible."""
+    channel = ChannelRealization(gains, eaves)
+    sic = solve_min_power(channel, SecrecyRequirement(q, eps))
+    tdma = tdma_min_power(channel, q, eps)
+    return (
+        sic.total_power_mw if isinstance(sic, PowerMinSolution) else math.inf,
+        tdma.avg_power_mw if isinstance(tdma, TdmaMinPower) else math.inf,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances())
+def test_min_powers_do_not_fall_as_the_qos_floor_grows(instance):
+    gains, eaves, q, eps, _ = instance
+    base, grown = _min_powers(gains, eaves, q, eps), _min_powers(gains, eaves, 1.2 * q, eps)
+    assert grown[0] >= base[0] and grown[1] >= base[1]

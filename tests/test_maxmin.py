@@ -19,6 +19,7 @@ from secnoma import (
     solve_maxmin_bisection,
     solve_maxmin_two_user,
 )
+from secnoma import maxmin
 from secnoma._rows import _maxmin_rows
 from secnoma.maxmin import DEFAULT_TOL, rate_ceiling_two_user
 
@@ -101,6 +102,23 @@ def test_positive_rate_infeasibility():
     both = ChannelRealization((0.5, 0.9), 1.0)
     verdict = solve_maxmin_two_user(both, EPS_E1, 1.0)
     assert verdict.failing_user_indices == frozenset({1, 2})
+
+
+def test_feasibility_check_builds_no_verdict(monkeypatch):
+    # the yes/no check only compares the weakest gain with the stringency;
+    # the verdict naming the failing users is built where it is returned
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return InfeasibleVerdict(*args)
+
+    monkeypatch.setattr(maxmin, "InfeasibleVerdict", counting)
+    ch = ChannelRealization((0.8, 10.0), 1.0)
+    assert check_positive_rate_feasibility(ch, EPS_E1) is False
+    assert built == []
+    assert isinstance(solve_maxmin_bisection(ch, EPS_E1, 1.0), InfeasibleVerdict)
+    assert len(built) == 1
 
 
 def test_tolerance_too_coarse_raises():

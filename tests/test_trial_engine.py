@@ -56,6 +56,21 @@ def test_pool_of_word_arrays_equals_numpy_pool():
     assert np.array_equal(np.stack(pool, axis=1), want)
 
 
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_philox_rounds_equal_numpy_philox(blocks):
+    # the one round body on random keys and counters 1..blocks, as (N, 1)
+    # key arrays and as Python ints, against numpy's raw Philox words
+    keys = np.random.default_rng(blocks).integers(0, 2**64, size=(200, 2), dtype=np.uint64)
+    want = np.array([np.random.Philox(key=key).random_raw(4 * blocks) for key in keys])
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    words = _draw._philox(counter, (keys[:, :1], keys[:, 1:]), _draw._mulhilo)
+    assert np.array_equal(np.stack(words, axis=-1).reshape(len(keys), 4 * blocks), want)
+    mask = 2**64 - 1
+    for key, row in zip(keys.tolist(), want.tolist()):
+        ints = [_draw._philox(b, key, lambda m, c: divmod(m * (c & mask), 1 << 64)) for b in range(1, blocks + 1)]
+        assert [word & mask for block in ints for word in block] == row
+
+
 @pytest.mark.parametrize("num", DRAW_COUNTS)
 def test_trial_gains_rows_equal_single_draws(num):
     geometry = _geometry(num)
